@@ -445,8 +445,7 @@ let relayout_set ~from ~into part =
 
 (* Size attributes for the narrow set-op spans: input cardinal on the
    driver, output sizes via [record_skew] without [~cluster] (trace attrs
-   only — these ops never fed the partition-size histograms, and the
-   knob-off counter parity contract keeps it that way). *)
+   only — these ops do not feed the partition-size histograms). *)
 let records_in_attr tr a b =
   if Trace.enabled tr then Trace.set_attr tr "records_in" (Trace.Int (cardinal a + cardinal b))
 

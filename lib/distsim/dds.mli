@@ -20,8 +20,8 @@
     hashes) — each phase with its own trace span ([dds.exchange.map] /
     [dds.exchange.merge]) carrying per-phase skew attributes. Result
     partitions and the metered records/bytes/moved counts are
-    bit-identical to the sequential driver-side exchange, which remains
-    the fallback (and the [use_parallel_shuffle:false] baseline). *)
+    bit-identical to the sequential driver-side exchange, which small
+    exchanges keep ({!Cluster.shuffle_mode}). *)
 
 type partitioning =
   | Arbitrary  (** no placement guarantee *)

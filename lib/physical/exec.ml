@@ -23,9 +23,6 @@ type config = {
   max_iterations : int;
   max_tuples : int;
   use_stable_partitioning : bool;
-  use_prepared_broadcast : bool;
-  use_fused_delta : bool;
-  use_shuffle_dedup : bool;
   collect_actuals : bool;
   use_compiled_exec : bool;
 }
@@ -38,9 +35,6 @@ let default_config cluster =
     max_iterations = 100_000;
     max_tuples = 500_000_000;
     use_stable_partitioning = true;
-    use_prepared_broadcast = true;
-    use_fused_delta = true;
-    use_shuffle_dedup = true;
     collect_actuals = false;
     use_compiled_exec = true;
   }
@@ -198,6 +192,17 @@ let tele_fallback ~reason ~site =
   let reg = Telemetry.get () in
   if Telemetry.enabled reg then
     Telemetry.inc reg ~labels:[ ("reason", reason); ("site", site) ] "pipeline_fallback_total"
+
+(* The SQL text P_plw^pg ships to each worker's local database for the
+   local fixpoint [local_term] over the relations in [env] (a WITH
+   RECURSIVE statement, as the paper's PostgreSQL backend receives it),
+   or why the term is outside the SQL dialect — the workers then run
+   the volcano executor. Shared by the executor and [explain]. *)
+let local_sql env local_term =
+  match Localdb.To_sql.of_term (Mura.Typing.env env) local_term with
+  | sql -> Ok sql
+  | exception Localdb.To_sql.Unsupported reason -> Error reason
+  | exception Mura.Typing.Type_error reason -> Error ("typing: " ^ reason)
 
 (* Literal relations embedded in a term make [Term.to_string] arbitrarily
    large (and the term transient), so such terms bypass the shell-static
@@ -617,26 +622,11 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
         in
         let f = go ~path:rpath recursive in
         (match join_mode with
-        | `Broadcast when ctx.config.use_prepared_broadcast ->
-          (* prepared handle: index over the broadcast side built once at
-             the first iteration (the delta schema is loop-invariant)
-             and probed by every later one *)
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:cpath const) in
-          let prepared = ref None in
+        | `Broadcast ->
+          let probe = prepared_bcast ctx (eval_const ctx ~path:cpath const) in
           fun delta ->
             let left = f delta in
-            let p =
-              match !prepared with
-              | Some p -> p
-              | None ->
-                let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
-                prepared := Some p;
-                p
-            in
-            Dds.join_bcast_prepared left p
-        | `Broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:cpath const) in
-          fun delta -> Dds.join_bcast (f delta) bc
+            Dds.join_bcast_prepared left (probe left)
         | `Shuffle ->
           let const_dds = exec_any ctx ~path:cpath const in
           (* memoize the co-partitioned constant side across iterations:
@@ -662,23 +652,11 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
         if Term.has_free_var var b then err "fixpoint on %s is not positive" var;
         let f = go ~path:(child path 0) a in
         (match join_mode with
-        | `Broadcast when ctx.config.use_prepared_broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:(child path 1) b) in
-          let prepared = ref None in
+        | `Broadcast ->
+          let probe = prepared_bcast ctx (eval_const ctx ~path:(child path 1) b) in
           fun delta ->
             let left = f delta in
-            let p =
-              match !prepared with
-              | Some p -> p
-              | None ->
-                let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
-                prepared := Some p;
-                p
-            in
-            Dds.antijoin_bcast_prepared left p
-        | `Broadcast ->
-          let bc = Dds.broadcast ctx.config.cluster (eval_const ctx ~path:(child path 1) b) in
-          fun delta -> Dds.antijoin_bcast (f delta) bc
+            Dds.antijoin_bcast_prepared left (probe left)
         | `Shuffle ->
           let const_dds = exec_any ctx ~path:(child path 1) b in
           fun delta -> Dds.antijoin_shuffle (f delta) const_dds)
@@ -687,6 +665,21 @@ and compile_branch ctx ~var ~join_mode ~path branch : Dds.t -> Dds.t =
       | Term.Rel _ | Term.Cst _ -> assert false (* constant, handled above *)
   in
   go ~path branch
+
+(* Broadcast [r] once (metered here) and return the per-iteration lookup
+   of its prepared handle: the index over the broadcast side is built at
+   the first iteration (the delta schema is loop-invariant) and probed by
+   every later one. *)
+and prepared_bcast ctx r =
+  let bc = Dds.broadcast ctx.config.cluster r in
+  let prepared = ref None in
+  fun left ->
+    match !prepared with
+    | Some p -> p
+    | None ->
+      let p = Dds.prepare_bcast ~for_schema:(Dds.schema left) bc in
+      prepared := Some p;
+      p
 
 (* ------------------------------------------------------------------ *)
 (* Fixpoint plans                                                      *)
@@ -763,19 +756,15 @@ and exec_fix ctx ~path var body : Dds.t =
    repartition ([per_iter]: the only step the two plans differ on — a
    shuffle for P_gld, the identity for P_plw^s) -> delta maintenance.
 
-   Delta maintenance runs fused when [use_fused_delta] is on: one
-   [Dds.diff_union_in_place] stage that mutates the accumulator's
-   partitions in place. The accumulator must therefore be loop private —
-   [x0_private] says whether the caller's initial repartition actually
-   allocated fresh partitions; when it no-opped (so [x0] may alias a
-   cached table), the fused path takes a one-time defensive copy. The
-   unfused diff-then-union pair is kept verbatim as the knob-off
-   baseline: with [use_fused_delta = false] this loop is step-for-step
-   the pre-fusion code path. *)
+   Delta maintenance is one fused [Dds.diff_union_in_place] stage that
+   mutates the accumulator's partitions in place. The accumulator must
+   therefore be loop private — [x0_private] says whether the caller's
+   initial repartition actually allocated fresh partitions; when it
+   no-opped (so [x0] may alias a cached table), the loop takes a
+   one-time defensive copy. *)
 and run_semi_naive ctx ~var ~plan_label ~x0 ~x0_private ?delta0 ~branch_fns ~per_iter () =
   let m = Cluster.metrics ctx.config.cluster in
-  let fused = ctx.config.use_fused_delta in
-  let x = ref (if fused && not x0_private then Dds.copy_parts x0 else x0) in
+  let x = ref (if x0_private then x0 else Dds.copy_parts x0) in
   (* [delta0] resumes the loop with a given frontier (already absorbed
      into [x0] by the caller) — the incremental-maintenance entry *)
   let delta = ref (match delta0 with Some d -> d | None -> !x) in
@@ -796,38 +785,20 @@ and run_semi_naive ctx ~var ~plan_label ~x0 ~x0_private ?delta0 ~branch_fns ~per
       | [] -> assert false
       | d0 :: rest -> List.fold_left Dds.set_union_local d0 rest
     in
-    let produced = check_size_dds ctx produced in
+    let produced = check_size ctx produced in
     let produced = relayout_dds produced (Dds.schema !x) in
     let produced = per_iter produced in
-    if fused then begin
-      let x', fresh = Dds.diff_union_in_place ~acc:!x ~produced in
-      let fresh_n = Dds.cardinal fresh in
-      deltas := fresh_n :: !deltas;
-      if fresh_n = 0 then continue := false
-      else begin
-        x := check_size_dds ctx x';
-        delta := fresh
-      end
-    end
+    let x', fresh = Dds.diff_union_in_place ~acc:!x ~produced in
+    let fresh_n = Dds.cardinal fresh in
+    deltas := fresh_n :: !deltas;
+    if fresh_n = 0 then continue := false
     else begin
-      let fresh = Dds.set_diff_local produced !x in
-      let fresh_n = Dds.cardinal fresh in
-      deltas := fresh_n :: !deltas;
-      if fresh_n = 0 then continue := false
-      else begin
-        x := check_size_dds ctx (Dds.set_union_local !x fresh);
-        delta := fresh
-      end
+      x := check_size ctx x';
+      delta := fresh
     end
   done;
   (!x, !iterations, List.rev !deltas)
 
-(* P_gld: driver loop over distributed wide operations. The accumulated
-   result is kept hash-partitioned by the full schema so that the
-   per-iteration difference costs exactly one shuffle of the produced
-   tuples (plus whatever the joins shuffle). With [use_shuffle_dedup] a
-   seen filter rides on the per-iteration repartition, dropping
-   re-derived tuples map-side before they are bucketed or metered. *)
 (* Try the compiled columnar core first ([Pipeline]): a static planning
    pass decides supportability before any constant side is evaluated, so
    a [None] fallback to the interpreted loop costs nothing and never
@@ -853,16 +824,20 @@ and compiled_pipeline ctx ~var ~join_mode ~init ~recs ~branch_path =
       None
   end
 
+(* P_gld: driver loop over distributed wide operations. The accumulated
+   result is kept hash-partitioned by the full schema so that the
+   per-iteration difference costs exactly one shuffle of the produced
+   tuples (plus whatever the joins shuffle). A seen filter rides on the
+   per-iteration repartition, dropping re-derived tuples map-side before
+   they are bucketed or metered. *)
 and run_gld ctx ~var ~init ~recs ~branch_path =
   let schema_cols = Schema.cols (Dds.schema init) in
+  let seen = Dds.seen_filter ctx.config.cluster in
   match compiled_pipeline ctx ~var ~join_mode:`Shuffle ~init ~recs ~branch_path with
   | Some cp ->
-    let seen =
-      if ctx.config.use_shuffle_dedup then Some (Dds.seen_filter ctx.config.cluster) else None
-    in
-    let x0 = Dds.repartition ?seen ~by:schema_cols init in
+    let x0 = Dds.repartition ~seen ~by:schema_cols init in
     Pipeline.run cp ~var ~plan_label:"P_gld" ~x0 ~x0_private:(x0 != init)
-      ~per_iter_by:(Some schema_cols) ?seen ~max_iterations:ctx.config.max_iterations
+      ~per_iter_by:(Some schema_cols) ~seen ~max_iterations:ctx.config.max_iterations
       ~max_tuples:ctx.config.max_tuples
       ~limit:(fun msg -> Resource_limit msg)
       ()
@@ -872,12 +847,9 @@ and run_gld ctx ~var ~init ~recs ~branch_path =
         (fun i b -> compile_branch ctx ~var ~join_mode:`Shuffle ~path:(branch_path i) b)
         recs
     in
-    let seen =
-      if ctx.config.use_shuffle_dedup then Some (Dds.seen_filter ctx.config.cluster) else None
-    in
-    let x0 = Dds.repartition ?seen ~by:schema_cols init in
+    let x0 = Dds.repartition ~seen ~by:schema_cols init in
     run_semi_naive ctx ~var ~plan_label:"P_gld" ~x0 ~x0_private:(x0 != init) ~branch_fns
-      ~per_iter:(fun produced -> Dds.repartition ?seen ~by:schema_cols produced)
+      ~per_iter:(fun produced -> Dds.repartition ~seen ~by:schema_cols produced)
       ()
 
 (* P_plw^s: repartition the constant part (by the stable columns when
@@ -954,28 +926,7 @@ and run_plw_pg ctx ~var ~body ~init ~stable ~path =
   let local_env =
     (seed_name, schema) :: List.map (fun (n, r) -> (n, Rel.schema r)) broadcast_tables
   in
-  (* compiled local path: a driver-side, typing-only lowering of the
-     local fixpoint onto batch chains ([Localdb.Bexec]); every worker
-     then runs the same compiled loop. The SQL and volcano executors
-     stay as the oracle fallbacks (and EXPLAIN ANALYZE forces them —
-     only the volcano path exposes per-operator counters). *)
-  let bexec_plan =
-    if analyzing || not ctx.config.use_compiled_exec then None
-    else
-      match Localdb.Bexec.plan ~env:local_env local_term with
-      | Ok p -> Some p
-      | Error reason ->
-        tele_fallback ~reason ~site:"plw_pg_local";
-        None
-  in
-  let sql_text =
-    if analyzing || Option.is_some bexec_plan then None
-    else
-      let tenv = Mura.Typing.env local_env in
-      match Localdb.To_sql.of_term tenv local_term with
-      | sql -> Some sql
-      | exception (Localdb.To_sql.Unsupported _ | Mura.Typing.Type_error _) -> None
-  in
+  let sql_text = if analyzing then None else Result.to_option (local_sql local_env local_term) in
   if analyzing then Hashtbl.replace ctx.local_plans path local_term;
   let merge_local_actuals acts =
     Mutex.lock ctx.locals_mutex;
@@ -1014,26 +965,21 @@ and run_plw_pg ctx ~var ~body ~init ~stable ~path =
         List.iter (fun (n, r) -> Localdb.Instance.register db n r) broadcast_tables;
         Localdb.Instance.register db seed_name (Rel.of_tset schema (Tset.copy part));
         let local_result =
-          match bexec_plan with
-          | Some p -> Rel.relayout schema (Localdb.Bexec.run p db)
-          | None -> (
-            match sql_text with
-            | Some sql -> Relation.Rel.relayout schema (Localdb.Sql.query db sql)
-            | None ->
-              if analyzing then begin
-                let r, acts = Localdb.Instance.query_analyzed db local_term in
-                merge_local_actuals acts;
-                r
-              end
-              else Localdb.Instance.query db local_term)
+          match sql_text with
+          | Some sql -> Rel.relayout schema (Localdb.Sql.query db sql)
+          | None ->
+            if analyzing then begin
+              let r, acts = Localdb.Instance.query_analyzed db local_term in
+              merge_local_actuals acts;
+              r
+            end
+            else Localdb.Instance.query db local_term
         in
         Rel.tuples local_result)
       init
   in
   let result = match stable with [] -> Dds.distinct result | _ -> result in
   (result, 1, [])
-
-and check_size_dds ctx d = check_size ctx d
 
 let exec_dds ctx term = exec_any ctx ~path:"0" term
 let run ctx term = Dds.collect (exec_dds ctx term)
@@ -1077,35 +1023,35 @@ let explain ctx term =
     | None -> None
   in
   (* Per-branch fixpoint verdicts: same static passes the executor runs
-     ([Pipeline.reject_reason] slugs for P_gld / P_plw^s branches,
-     [Localdb.Bexec.plan] for the P_plw^pg local plan). *)
+     ([Pipeline.reject_reason] slugs for P_gld / P_plw^s branches, the
+     [local_sql] dialect check for the P_plw^pg local plan). *)
   let branch_lines indent x body plan consts recs =
-    if not ctx.config.use_compiled_exec then ()
-    else
-      match plan with
-      | P_plw_pg -> (
+    match plan with
+    | P_plw_pg ->
+      if ctx.actuals <> None then line indent "local plan: volcano (instrumented for EXPLAIN ANALYZE)"
+      else begin
         let env =
           ("__seed", typing (Term.union_all consts))
           :: List.filter_map
                (fun n -> Option.map (fun r -> (n, Rel.schema r)) (List.assoc_opt n ctx.tables))
                (Term.free_rels body)
         in
-        let local_term = Term.Fix (x, Term.union_all (Term.Rel "__seed" :: recs)) in
-        match Localdb.Bexec.plan ~env local_term with
-        | Ok _ -> line indent "local plan: compiled batch fixpoint"
-        | Error r -> line indent "local plan: interpreted (%s)" r
-        | exception _ -> line indent "local plan: interpreted (typing)")
-      | P_gld | P_plw_s -> (
-        let join_mode = match plan with P_gld -> `Shuffle | _ -> `Broadcast in
-        match typing (Term.union_all consts) with
-        | x_schema ->
-          List.iteri
-            (fun i b ->
-              match Pipeline.branch_verdict ~var:x ~join_mode ~typing ~x_schema b with
-              | Ok () -> line indent "branch %d: compiled" i
-              | Error r -> line indent "branch %d: interpreted (%s)" i r)
-            recs
-        | exception _ -> ())
+        match local_sql env (Term.Fix (x, Term.union_all (Term.Rel "__seed" :: recs))) with
+        | Ok _ -> line indent "local plan: SQL"
+        | Error r -> line indent "local plan: volcano (%s)" r
+      end
+    | P_gld | P_plw_s when ctx.config.use_compiled_exec -> (
+      let join_mode = match plan with P_gld -> `Shuffle | _ -> `Broadcast in
+      match typing (Term.union_all consts) with
+      | x_schema ->
+        List.iteri
+          (fun i b ->
+            match Pipeline.branch_verdict ~var:x ~join_mode ~typing ~x_schema b with
+            | Ok () -> line indent "branch %d: compiled" i
+            | Error r -> line indent "branch %d: interpreted (%s)" i r)
+          recs
+      | exception _ -> ())
+    | P_gld | P_plw_s -> ()
   in
   let rec go indent st (t : Term.t) =
     match t with
@@ -1165,7 +1111,7 @@ let explain ctx term =
           (match plan with
           | P_gld -> "re-evaluated with shuffles each iteration"
           | P_plw_s -> "broadcast relations, narrow iterations"
-          | P_plw_pg -> "shipped to per-worker local databases as SQL");
+          | P_plw_pg -> "one local fixpoint per worker on its local database");
         List.iter (go (indent + 2) None) recs;
         (try branch_lines (indent + 1) x body plan consts recs
          with _ -> ())
@@ -1175,19 +1121,11 @@ let explain ctx term =
     (if ctx.config.use_compiled_exec then
        "compiled columnar pipelines (fused batch operators; interpreter fallback)"
      else "interpreted operator-at-a-time");
-  line 0 "Exchange: %s%s, %d workers"
+  line 0 "Exchange: %s, %d workers"
     (if Cluster.pooled_shuffle ctx.config.cluster then
-       "two-phase pooled shuffle (map/merge on worker pool)"
+       "two-phase pooled shuffle (map/merge on worker pool), adaptive per-stage mode"
      else "sequential driver-side")
-    (if Cluster.pooled_shuffle ctx.config.cluster && Cluster.adaptive_shuffle ctx.config.cluster
-     then ", adaptive per-stage mode"
-     else "")
     (Cluster.workers ctx.config.cluster);
-  line 0 "Fixpoint delta: %s%s"
-    (if ctx.config.use_fused_delta then "fused in-place diff+union"
-     else "unfused diff/union (baseline)")
-    (if ctx.config.use_shuffle_dedup then ", iteration-shuffle dedup on"
-     else ", iteration-shuffle dedup off");
   go 0 shell_st term;
   Buffer.contents buf
 
@@ -1445,11 +1383,7 @@ module Incr = struct
     let branch_path i = "incr.rec." ^ string_of_int i in
     let join_mode = if h.i_plan = P_gld then `Shuffle else `Broadcast in
     let plan_label = plan_name h.i_plan ^ "(resume)" in
-    let seen =
-      if (not h.i_narrow) && h.i_config.use_shuffle_dedup then
-        Some (Dds.seen_filter h.i_config.cluster)
-      else None
-    in
+    let seen = if h.i_narrow then None else Some (Dds.seen_filter h.i_config.cluster) in
     let per_iter_by = if h.i_narrow then None else Some h.i_hash_cols in
     match compiled_pipeline ctx ~var:h.i_var ~join_mode ~init:acc ~recs:h.i_recs ~branch_path with
     | Some cp ->

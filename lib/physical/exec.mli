@@ -15,7 +15,17 @@
       narrow partition-wise operations — zero shuffles inside the loop.
     - {b P_plw_pg}: same distribution scheme, but each worker runs its
       complete local fixpoint inside a single mapPartitions call on its
-      local database instance (the PostgreSQL stand-in).
+      local database instance (the PostgreSQL stand-in): shipped as a
+      [WITH RECURSIVE] SQL statement, or run on the instance's volcano
+      executor when the term is outside the SQL dialect.
+
+    P_gld and P_plw^s maintain their accumulators with the fused
+    in-place kernel ({!Distsim.Dds.diff_union_in_place}); P_plw's
+    broadcast joins build the index over the constant side once per
+    fixpoint ({!Distsim.Dds.prepare_bcast}); and P_gld's per-iteration
+    repartition runs through a {!Distsim.Dds.seen_filter}, dropping
+    re-derivations map-side before they are shuffled or metered (the
+    savings show as [Metrics.dedup_dropped_records]).
 
     Plan selection (Sec. IV-B-c): when the fixpoint has a stable column,
     repartition by it and use P_plw (no final distinct needed — the local
@@ -37,33 +47,6 @@ type config = {
   use_stable_partitioning : bool;
       (** ablation knob: when [false], P_plw skips the stable-column
           repartitioning of Sec. IV-A2 and pays a final distinct *)
-  use_prepared_broadcast : bool;
-      (** when [true] (default), P_plw's broadcast joins/antijoins build
-          the index over the constant side once per fixpoint
-          ({!Distsim.Dds.prepare_bcast}) and probe it every iteration;
-          when [false] each iteration re-derives the join strategy and
-          may rescan the whole broadcast relation (the pre-optimisation
-          behaviour, kept as a bench/regression knob). Plan shape and
-          communication counters are identical either way. *)
-  use_fused_delta : bool;
-      (** when [true] (default), the semi-naive loops of P_gld and
-          P_plw^s maintain their accumulator with the fused in-place
-          kernel ({!Distsim.Dds.diff_union_in_place}: one stage, one
-          probe per produced tuple) instead of the unfused
-          diff-then-copy-then-union pair, which rebuilds the fresh set
-          and copies the whole accumulator every iteration. Results,
-          iteration counts and per-iteration delta sizes are
-          bit-identical either way; [false] keeps the pre-fusion code
-          path as a bench/regression baseline. *)
-  use_shuffle_dedup : bool;
-      (** when [true] (default), P_gld's per-iteration repartition runs
-          through a {!Distsim.Dds.seen_filter}: tuples a worker already
-          routed in an earlier iteration of the same fixpoint are dropped
-          map-side before they are shuffled or metered (they would be
-          discarded by the diff anyway). Results, iteration counts and
-          deltas are bit-identical; [shuffled_records] / [shuffled_bytes]
-          shrink and the savings are metered as
-          [Metrics.dedup_dropped_records]. *)
   collect_actuals : bool;
       (** when [true], EXPLAIN ANALYZE instrumentation is on: every
           operator records its actual output cardinality and cumulative
@@ -81,14 +64,14 @@ type config = {
           absorption all reuse the stored hash column); the non-fixpoint
           shell around [Fix] nodes runs the same fused chains
           column-at-a-time ({!Pipeline.Shell}), materializing only at
-          size decisions and exchanges; and P_plw^pg's per-worker local
-          fixpoints run the compiled batch loop ({!Localdb.Bexec}).
-          Fallback is per subtree: an unsupported shell operator
-          interprets just that node over batch<->Tset bridges, an
-          unsupported branch shape falls the fixpoint back to the
-          interpreted loop, an unsupported local plan falls back to
-          SQL/volcano — each fallback counted by the
-          [pipeline_fallback_total{reason,site}] telemetry counter.
+          size decisions and exchanges. Fallback is per subtree: an
+          unsupported shell operator interprets just that node over
+          batch<->Tset bridges, and an unsupported branch shape falls
+          the fixpoint back to the interpreted loop — each fallback
+          counted by the [pipeline_fallback_total{reason,site}]
+          telemetry counter. P_plw^pg's per-worker local fixpoints do
+          not depend on this field: they always run as SQL, or on the
+          volcano executor when the term is outside the SQL dialect.
           EXPLAIN ANALYZE forces the interpreter everywhere. Results,
           iteration counts, delta curves and communication counters are
           bit-identical either way; [false] forces the interpreter — the
@@ -152,9 +135,13 @@ val exec_dds : ctx -> Mura.Term.t -> Distsim.Dds.t
 val explain : ctx -> Mura.Term.t -> string
 (** Describe the physical plan that {!exec_dds} would choose, without
     executing: operator tree with join strategies and, per fixpoint, the
-    selected plan, the stable columns and the repartitioning. Fixpoint
-    plan selection mirrors execution exactly; join strategy choices are
-    stated as rules (sizes are only known at run time). *)
+    selected plan, the stable columns and the repartitioning, plus the
+    per-branch compiled/interpreted verdicts (P_gld, P_plw^s) or the
+    local executor each worker runs ([local plan: SQL] or
+    [local plan: volcano (<reason>)], P_plw^pg). Fixpoint plan
+    selection and the local executor choice mirror execution exactly;
+    join strategy choices are stated as rules (sizes are only known at
+    run time). *)
 
 val run : ctx -> Mura.Term.t -> Relation.Rel.t
 (** [exec_dds] followed by a collect to the driver. *)

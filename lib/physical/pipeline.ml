@@ -21,7 +21,7 @@
      partitioning), the constant side is repartitioned once per
      fixpoint, broadcasts are metered at compile time exactly like
      [compile_branch];
-   - same seen-filter drops ([use_shuffle_dedup] semantics ride on the
+   - same seen-filter drops (P_gld's seen filter rides on the
      per-iteration exchange unchanged).
 
    What the compiled path does *not* re-do each iteration is the
@@ -46,32 +46,15 @@ module Metrics = Distsim.Metrics
 
 let child path i = path ^ "." ^ string_of_int i
 
-(* ------------------------------------------------------------------ *)
-(* Row-level operators of a fused segment                              *)
-(* ------------------------------------------------------------------ *)
-
-(* One operator of a fused chain, acting on a scratch row (an [int
-   array] laid out per the operator's input schema — which makes it a
-   valid [Tuple.t], so compiled predicates apply directly). [R_probe]
-   and [R_antiprobe] close over per-worker index lookups; broadcast
-   indexes are immutable and shared by all workers, shuffle-side indexes
-   are built lazily per worker over the co-partitioned constant side. *)
-type rop =
-  | R_filter of (Tuple.t -> bool)
-  | R_project of int array  (* new scratch = old scratch at these positions *)
-  | R_probe of {
-      key_pos : int array;  (* shared columns, positions in the input scratch *)
-      extra_pos : int array;  (* appended columns, positions in the right tuple *)
-      probe : int -> Tuple.t -> Tuple.t list;  (* worker -> key -> matches *)
-    }
-  | R_antiprobe of { key_pos : int array; mem : int -> Tuple.t -> bool }
-
 (* Atoms of a lowered branch, before fusion: row operators (each with
    its output schema and partitioning transfer) separated by exchange
-   points. [rop = None] marks schema-only steps (rename). *)
+   points. [rop = None] marks schema-only steps (rename). Probe and
+   antiprobe operators close over per-worker index lookups: broadcast
+   indexes are immutable and shared by all workers, shuffle-side indexes
+   are built lazily per worker over the co-partitioned constant side. *)
 type atom =
   | A_rop of {
-      rop : rop option;
+      rop : Rowchain.op option;
       out_schema : Schema.t;
       ptrans : Dds.partitioning -> Dds.partitioning;
     }
@@ -215,7 +198,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
     | Term.Select (p, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let pred = Pred.compile s p in
-      (atoms @ [ A_rop { rop = Some (R_filter pred); out_schema = s; ptrans = Fun.id } ], s)
+      (atoms @ [ A_rop { rop = Some (Rowchain.Filter pred); out_schema = s; ptrans = Fun.id } ], s)
     | Term.Project (keep, u) ->
       let atoms, s = go ~path:(child path 0) u in
       let out = Schema.restrict s keep in
@@ -223,7 +206,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
       ( atoms
         @ [
             A_rop
-              { rop = Some (R_project pos); out_schema = out; ptrans = project_partitioning keep };
+              { rop = Some (Rowchain.Project pos); out_schema = out; ptrans = project_partitioning keep };
           ],
         out )
     | Term.Antiproject (drop, u) ->
@@ -234,7 +217,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
       ( atoms
         @ [
             A_rop
-              { rop = Some (R_project pos); out_schema = out; ptrans = project_partitioning keep };
+              { rop = Some (Rowchain.Project pos); out_schema = out; ptrans = project_partitioning keep };
           ],
         out )
     | Term.Rename (m, u) ->
@@ -260,7 +243,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
         let _, extra_pos = extra_of sr rs in
         let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
         let rop =
-          R_probe
+          Rowchain.Probe
             {
               key_pos = Schema.positions sr shared;
               extra_pos;
@@ -296,7 +279,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
           in
           Index.probe idx key
         in
-        let rop = R_probe { key_pos = Schema.positions sr shared; extra_pos; probe } in
+        let rop = Rowchain.Probe { key_pos = Schema.positions sr shared; extra_pos; probe } in
         ( atoms
           @ [
               A_exch { by = shared; schema = sr };
@@ -311,7 +294,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
       let shared = Schema.common sr rs in
       let idx = Index.build rs shared (Tset.to_seq (Rel.tuples rel)) in
       let rop =
-        R_antiprobe
+        Rowchain.Antiprobe
           { key_pos = Schema.positions sr shared; mem = (fun _w key -> Index.mem idx key) }
       in
       (atoms @ [ A_rop { rop = Some rop; out_schema = sr; ptrans = Fun.id } ], sr)
@@ -330,7 +313,7 @@ let lower_branch ~cluster ~var ~join_mode ~x_schema ~exec_const ~eval_const ~pat
    surviving rows into a presized dedup builder. Scratch arrays live for
    the whole fixpoint (zero steady-state allocation); the builder is
    fresh per invocation and becomes the output batch. *)
-let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t =
+let build_runner ~w ~in_arity ~out_arity (rops : Rowchain.op list) : Batch.t -> Batch.t =
   let builder = ref (Batch.Builder.create ~capacity:0 ~arity:out_arity ()) in
   let scratch0 = Array.make in_arity 0 in
   let emit scratch =
@@ -339,17 +322,7 @@ let build_runner ~w ~in_arity ~out_arity (rops : rop list) : Batch.t -> Batch.t 
     Array.blit scratch 0 s 0 out_arity;
     ignore (Batch.Builder.add_scratch bld (Batch.hash_row s))
   in
-  let ops =
-    List.map
-      (function
-        | R_filter pred -> Rowchain.Filter pred
-        | R_project pos -> Rowchain.Project pos
-        | R_probe { key_pos; extra_pos; probe } ->
-          Rowchain.Probe { key_pos; extra_pos; probe = probe w }
-        | R_antiprobe { key_pos; mem } -> Rowchain.Antiprobe { key_pos; mem = mem w })
-      rops
-  in
-  let chain = Rowchain.compile ~entry:scratch0 ops ~emit in
+  let chain = Rowchain.compile ~w ~entry:scratch0 rops ~emit in
   fun input ->
     let n = Batch.length input in
     builder := Batch.Builder.create ~capacity:n ~arity:out_arity ();
@@ -573,8 +546,8 @@ let run t ~var ~plan_label ~x0 ~x0_private ?delta0 ~per_iter_by ?seen ~max_itera
 
 (* The non-fixpoint shell around [Fix] nodes compiles to the same fused
    chains as the recursive branches: [Exec] lowers each supported
-   operator onto a [chain] — per-worker batches plus a pending [rop]
-   list — and materializes only where the interpreter observes values
+   operator onto a [chain] — per-worker batches plus a pending
+   [Rowchain.op] list — and materializes only where the interpreter observes values
    (join/antijoin cardinal decisions, exchanges, unions, the root).
    Fallback is per subtree: [analyze] is a typing-only pass deciding
    supportability for the whole term before any evaluation (so a
@@ -639,7 +612,7 @@ module Shell = struct
   type chain = {
     c_base : Batch.t array;
     c_base_schema : Schema.t;
-    c_rops : rop list;  (* pending, in application order *)
+    c_rops : Rowchain.op list;  (* pending, in application order *)
     c_schema : Schema.t;  (* schema after the pending ops *)
     c_part : Dds.partitioning;
     c_rehash : bool;
@@ -682,7 +655,7 @@ module Shell = struct
 
   (* Pending-op fusers. Positions are relative to [c_schema] (the schema
      after the already-pending ops), so fused suffixes compose. *)
-  let filter pred c = { c with c_rops = c.c_rops @ [ R_filter pred ] }
+  let filter pred c = { c with c_rops = c.c_rops @ [ Rowchain.Filter pred ] }
 
   let rename_cols m c =
     { c with c_schema = Schema.rename m c.c_schema; c_part = rename_partitioning m c.c_part }
@@ -691,7 +664,7 @@ module Shell = struct
     let pos = Schema.positions c.c_schema keep in
     {
       c with
-      c_rops = c.c_rops @ [ R_project pos ];
+      c_rops = c.c_rops @ [ Rowchain.Project pos ];
       c_schema = Schema.restrict c.c_schema keep;
       c_part = project_partitioning keep c.c_part;
       c_rehash = true;
@@ -700,29 +673,29 @@ module Shell = struct
   let probe ~key_pos ~extra_pos ~out_schema ~probe c =
     {
       c with
-      c_rops = c.c_rops @ [ R_probe { key_pos; extra_pos; probe } ];
+      c_rops = c.c_rops @ [ Rowchain.Probe { key_pos; extra_pos; probe } ];
       c_schema = out_schema;
       c_rehash = true;
     }
 
-  let antiprobe ~key_pos ~mem c = { c with c_rops = c.c_rops @ [ R_antiprobe { key_pos; mem } ] }
+  let antiprobe ~key_pos ~mem c = { c with c_rops = c.c_rops @ [ Rowchain.Antiprobe { key_pos; mem } ] }
 
   let reorder ~into c =
     if Schema.equal_ordered c.c_schema into then c
     else
       let perm = Schema.reorder_positions ~from:c.c_schema ~into in
-      { c with c_rops = c.c_rops @ [ R_project perm ]; c_schema = into; c_rehash = true }
+      { c with c_rops = c.c_rops @ [ Rowchain.Project perm ]; c_schema = into; c_rehash = true }
 
   (* Content-preserving pass (filters/antiprobes only): surviving rows
      are copied verbatim with their stored hashes; the output stays
      duplicate-free because the base partitions are sets. *)
-  let run_keep ~w ~arity (rops : rop list) (b : Batch.t) : Batch.t =
+  let run_keep ~w ~arity (rops : Rowchain.op list) (b : Batch.t) : Batch.t =
     let scratch = Array.make arity 0 in
     let preds =
       List.map
         (function
-          | R_filter p -> fun () -> p scratch
-          | R_antiprobe { key_pos; mem } ->
+          | Rowchain.Filter p -> fun () -> p scratch
+          | Rowchain.Antiprobe { key_pos; mem } ->
             let nk = Array.length key_pos in
             let key = Array.make nk 0 in
             let mem = mem w in
@@ -731,7 +704,7 @@ module Shell = struct
                 key.(i) <- scratch.(key_pos.(i))
               done;
               not (mem key)
-          | R_project _ | R_probe _ -> assert false)
+          | Rowchain.Project _ | Rowchain.Probe _ -> assert false)
         rops
     in
     let n = Batch.length b in

@@ -1,9 +1,8 @@
-(* Fused row-operator chains: the shared code generator behind the
-   compiled execution paths (the distributed pipeline compiler in
-   [Physical.Pipeline] and the per-worker local fixpoint compiler in
-   [Localdb.Bexec]). A chain is compiled once into nested closures over
-   preallocated scratch rows; running it per input row costs no
-   allocation beyond what probes return. *)
+(* Fused row-operator chains: the code generator behind the compiled
+   execution core ([Physical.Pipeline]: distributed fixpoint branches and
+   the whole-plan shell). A chain is compiled once per worker into nested
+   closures over preallocated scratch rows; running it per input row
+   costs no allocation beyond what probes return. *)
 
 type op =
   | Filter of (int array -> bool)  (* keep rows satisfying the predicate *)
@@ -11,15 +10,15 @@ type op =
   | Probe of {
       key_pos : int array;  (* key columns, positions in the input scratch *)
       extra_pos : int array;  (* appended columns, positions in the matched tuple *)
-      probe : int array -> int array list;  (* key -> matching tuples *)
+      probe : int -> int array -> int array list;  (* worker -> key -> matching tuples *)
     }
-  | Antiprobe of { key_pos : int array; mem : int array -> bool }
+  | Antiprobe of { key_pos : int array; mem : int -> int array -> bool }
 
-(* Compile [ops] into a closure chain rooted at [entry]: the caller
-   fills [entry] with one input row and invokes the returned thunk;
-   surviving output rows reach [emit] as the final scratch array (valid
-   only for the duration of the call — copy, don't keep). *)
-let compile ~(entry : int array) (ops : op list) ~(emit : int array -> unit) : unit -> unit =
+(* Compile [ops] into worker [w]'s closure chain rooted at [entry]: the
+   caller fills [entry] with one input row and invokes the returned
+   thunk; surviving output rows reach [emit] as the final scratch array
+   (valid only for the duration of the call — copy, don't keep). *)
+let compile ~w ~(entry : int array) (ops : op list) ~(emit : int array -> unit) : unit -> unit =
   let rec build scratch = function
     | [] -> fun () -> emit scratch
     | Filter pred :: rest ->
@@ -35,6 +34,7 @@ let compile ~(entry : int array) (ops : op list) ~(emit : int array -> unit) : u
         done;
         next ()
     | Probe { key_pos; extra_pos; probe } :: rest ->
+      let probe = probe w in
       let base = Array.length scratch in
       let nk = Array.length key_pos and ne = Array.length extra_pos in
       let out = Array.make (base + ne) 0 in
@@ -56,6 +56,7 @@ let compile ~(entry : int array) (ops : op list) ~(emit : int array -> unit) : u
               next ())
             matches)
     | Antiprobe { key_pos; mem } :: rest ->
+      let mem = mem w in
       let next = build scratch rest in
       let nk = Array.length key_pos in
       let key = Array.make nk 0 in

@@ -279,11 +279,9 @@ let tier1_graph =
   Rel.of_tuples (sch [ "src"; "trg" ])
     (List.init 60 (fun i -> [| i mod 17; (i * 7 + 3) mod 17 |]))
 
-let run_physical ~parallel ~prepared ?plan term =
+let run_physical ~parallel ?plan term =
   let c = Cluster.make ~parallel ~workers:4 () in
-  let config =
-    { (Exec.default_config c) with Exec.force_plan = plan; use_prepared_broadcast = prepared }
-  in
+  let config = { (Exec.default_config c) with Exec.force_plan = plan } in
   let ctx = Exec.session config [ ("E", tier1_graph) ] in
   let r = Exec.run ctx term in
   let m = Cluster.metrics c in
@@ -311,25 +309,35 @@ let test_pool_matches_sequential () =
     (fun (name, term, plans) ->
       List.iter
         (fun plan ->
-          let seq, _ = run_physical ~parallel:false ~prepared:true ?plan term in
-          let par, _ = run_physical ~parallel:true ~prepared:true ?plan term in
+          let seq, _ = run_physical ~parallel:false ?plan term in
+          let par, _ = run_physical ~parallel:true ?plan term in
           if seq <> par then Alcotest.failf "%s: parallel pool diverged from sequential" name)
         plans)
     tier1_queries
 
 let test_prepared_metering_parity () =
-  (* the prepared index is a pure driver-side cache: results and every
-     communication counter must be bit-identical to the unprepared plan *)
+  (* the prepared broadcast index is a pure driver-side cache: results
+     match the centralized evaluator, and the interpreted P_plw^s loop
+     (whose broadcast joins probe prepared handles) reproduces the golden
+     communication counters exactly *)
   List.iter
     (fun (name, term, plans) ->
+      let expected =
+        List.sort compare (Rel.to_list (Mura.Eval.eval (Mura.Eval.env [ ("E", tier1_graph) ]) term))
+      in
       List.iter
         (fun plan ->
-          let r_p, m_p = run_physical ~parallel:false ~prepared:true ?plan term in
-          let r_u, m_u = run_physical ~parallel:false ~prepared:false ?plan term in
-          if r_p <> r_u then Alcotest.failf "%s: prepared result differs" name;
-          if m_p <> m_u then Alcotest.failf "%s: prepared counters differ" name)
+          let r, _ = run_physical ~parallel:false ?plan term in
+          if r <> expected then Alcotest.failf "%s: result differs from the evaluator" name)
         plans)
-    tier1_queries
+    tier1_queries;
+  List.iter
+    (fun (query, _) ->
+      List.iter
+        (fun workers ->
+          ignore (Golden.check ~query ~plan:Exec.P_plw_s ~workers ~compiled:false))
+        Golden.worker_counts)
+    Golden.queries
 
 (* property: any pipeline of distributed ops agrees with the centralized
    kernel *)
@@ -527,10 +535,16 @@ let test_stage_feeds_histograms () =
 (* Two-phase pooled shuffle: parity with the sequential exchange   *)
 (* -------------------------------------------------------------- *)
 
+(* Records per exchange that pool on any host: the volume cutoff of
+   [Cluster.shuffle_mode] is 2048, four times that when the host has no
+   spare cores for the pool. *)
+let pooled_n = (4 * 2048) + 1000
+
 (* [src] unique; a [skew] fraction of tuples share one hot [trg] key, so
    repartitioning by [trg] is both heavily skewed and moves most rows —
-   large enough to force bucket growth and Tset resizes on both paths. *)
-let big_rel ?(n = 400) ?(skew = 0.5) () =
+   large enough to run the pooled exchange and to force bucket growth
+   and Tset resizes on both paths. *)
+let big_rel ?(n = pooled_n) ?(skew = 0.5) () =
   let hot = int_of_float (skew *. float_of_int n) in
   Rel.of_tuples
     (sch [ "src"; "trg" ])
@@ -539,20 +553,39 @@ let big_rel ?(n = 400) ?(skew = 0.5) () =
 let shuffle_counters m =
   Metrics.(m.shuffles, m.shuffled_records, m.shuffled_bytes, m.broadcasts, m.broadcast_records)
 
-(* Run [scenario] on a sequential and on a pooled cluster of the same
+(* Run [f] under a fresh tracer; also report whether any exchange took
+   the pooled path, per the [exchange_mode] attribute it records. *)
+let traced_pooled f =
+  let tr = Trace.make () in
+  Trace.install tr;
+  let r = Fun.protect ~finally:Trace.uninstall f in
+  ( r,
+    List.exists
+      (fun (e : Trace.event) ->
+        List.assoc_opt "exchange_mode" e.Trace.attrs = Some (Trace.Str "pooled"))
+      (Trace.events tr) )
+
+(* Run [scenario] on a sequential and on a parallel cluster of the same
    size; result partitions and communication counters must be
-   bit-identical (the contract the pooled exchange promises). *)
-let check_shuffle_parity name ?(workers = 4) scenario =
+   bit-identical (the contract the pooled exchange promises), and the
+   parallel side must actually have run the pooled exchange ([pooled],
+   default [true]; [false] for scenarios no cluster pools). *)
+let check_shuffle_parity name ?(workers = 4) ?(pooled = true) scenario =
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers () in
-    let d = scenario c in
-    let parts = Array.init (Dds.num_partitions d) (fun i -> Tset.copy (Dds.partition d i)) in
-    let cnt = shuffle_counters (Cluster.metrics c) in
+    let (parts, cnt), ran_pooled =
+      traced_pooled (fun () ->
+          let d = scenario c in
+          ( Array.init (Dds.num_partitions d) (fun i -> Tset.copy (Dds.partition d i)),
+            shuffle_counters (Cluster.metrics c) ))
+    in
     Cluster.shutdown c;
-    (parts, cnt)
+    (parts, cnt, ran_pooled)
   in
-  let seq_parts, seq_cnt = run ~parallel:false in
-  let pool_parts, pool_cnt = run ~parallel:true in
+  let seq_parts, seq_cnt, seq_pooled = run ~parallel:false in
+  let pool_parts, pool_cnt, pool_pooled = run ~parallel:true in
+  check_bool (name ^ ": sequential side never pools") false seq_pooled;
+  check_bool (name ^ ": parallel side ran the pooled exchange") pooled pool_pooled;
   check_int (name ^ ": same partition count") (Array.length seq_parts) (Array.length pool_parts);
   Array.iteri
     (fun i p ->
@@ -575,20 +608,22 @@ let test_shuffle_parity_collect () =
   let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
-    let out = Dds.collect (Dds.of_rel ~by:[ "src" ] c r) in
+    let d = Dds.of_rel ~by:[ "src" ] c r in
+    let out, pooled = traced_pooled (fun () -> Dds.collect d) in
     let cnt = shuffle_counters (Cluster.metrics c) in
     Cluster.shutdown c;
-    (out, cnt)
+    (out, cnt, pooled)
   in
-  let seq, seq_cnt = run ~parallel:false in
-  let pool, pool_cnt = run ~parallel:true in
+  let seq, seq_cnt, _ = run ~parallel:false in
+  let pool, pool_cnt, pooled = run ~parallel:true in
+  check_bool "parallel collect ran pooled" true pooled;
   check_rel "collect parity" seq pool;
   check_bool "collect counters identical" true (seq_cnt = pool_cnt)
 
 let test_shuffle_parity_joins () =
-  let a = big_rel ~n:120 ~skew:0.3 () in
+  let a = big_rel ~skew:0.3 () in
   let b =
-    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init 90 (fun i -> [| i * 2; i + 1000 |]))
+    Rel.of_tuples (sch [ "trg"; "dst" ]) (List.init pooled_n (fun i -> [| i * 2; i + 100_000 |]))
   in
   check_shuffle_parity "join_shuffle" (fun c ->
       Dds.join_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b));
@@ -596,29 +631,27 @@ let test_shuffle_parity_joins () =
       Dds.antijoin_shuffle (Dds.of_rel ~by:[ "src" ] c a) (Dds.of_rel ~by:[ "dst" ] c b))
 
 let test_shuffle_parity_edges () =
-  let r = big_rel ~n:60 () in
-  check_shuffle_parity "workers=1" ~workers:1 (fun c ->
+  let r = big_rel () in
+  check_shuffle_parity "workers=1" ~workers:1 ~pooled:false (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r));
   let empty = Rel.of_tuples (sch [ "src"; "trg" ]) [] in
-  check_shuffle_parity "empty dataset" (fun c ->
+  check_shuffle_parity "empty dataset" ~pooled:false (fun c ->
       Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c empty));
-  check_shuffle_parity "empty round-robin" (fun c -> Dds.of_rel c empty)
+  check_shuffle_parity "empty round-robin" ~pooled:false (fun c -> Dds.of_rel c empty);
+  (* below the volume cutoff the parallel cluster keeps the sequential
+     exchange *)
+  check_shuffle_parity "small dataset" ~pooled:false (fun c ->
+      Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c (big_rel ~n:60 ())))
 
-let test_shuffle_knob () =
+let test_pooled_eligibility () =
   check_bool "sequential cluster never pools" false
     (Cluster.pooled_shuffle (Cluster.make ~workers:4 ()));
   let c1 = Cluster.make ~parallel:true ~workers:1 () in
   check_bool "single worker never pools" false (Cluster.pooled_shuffle c1);
   Cluster.shutdown c1;
   let cp = Cluster.make ~parallel:true ~workers:4 () in
-  check_bool "parallel multi-worker pools by default" true (Cluster.pooled_shuffle cp);
-  Cluster.shutdown cp;
-  let c = Cluster.make ~parallel:true ~use_parallel_shuffle:false ~workers:4 () in
-  check_bool "knob disables pooled shuffle" false (Cluster.pooled_shuffle c);
-  let r = big_rel ~n:80 () in
-  let d = Dds.repartition ~by:[ "trg" ] (Dds.of_rel ~by:[ "src" ] c r) in
-  check_rel "knob-off results still correct" r (Dds.collect d);
-  Cluster.shutdown c
+  check_bool "parallel multi-worker pools" true (Cluster.pooled_shuffle cp);
+  Cluster.shutdown cp
 
 (* -------------------------------------------------------------- *)
 (* Fused delta maintenance and the iteration-shuffle seen filter   *)
@@ -661,9 +694,10 @@ let test_copy_parts_private () =
 (* The seen filter drops re-routed tuples map-side: same drop counts and
    partitions on the sequential and pooled exchange paths. *)
 let test_seen_filter_drops () =
-  let r = big_rel ~n:200 () in
+  let r = big_rel () in
   let run ~parallel =
     let c = Cluster.make ~parallel ~workers:4 () in
+    traced_pooled @@ fun () ->
     let m = Cluster.metrics c in
     let seen = Dds.seen_filter c in
     let d = Dds.of_rel ~by:[ "src" ] c r in
@@ -682,8 +716,9 @@ let test_seen_filter_drops () =
     Cluster.shutdown c;
     (out, cnt)
   in
-  let seq_out, seq_cnt = run ~parallel:false in
-  let pool_out, pool_cnt = run ~parallel:true in
+  let (seq_out, seq_cnt), _ = run ~parallel:false in
+  let (pool_out, pool_cnt), pooled = run ~parallel:true in
+  check_bool "parallel side ran the pooled exchange" true pooled;
   check_rel "seq/pooled filtered partitions agree" seq_out pool_out;
   check_bool "seq/pooled dedup counters identical" true (seq_cnt = pool_cnt)
 
@@ -704,17 +739,14 @@ let test_adaptive_shuffle_mode () =
   (* sequential clusters can never pool, whatever the volume *)
   let seq = Cluster.make ~workers:4 () in
   check_bool "sequential -> Seq" true (Cluster.shuffle_mode seq ~records:1_000_000 = `Seq);
-  (* adaptivity off: every eligible exchange pooled, even tiny ones *)
-  let forced = Cluster.make ~parallel:true ~adaptive_shuffle:false ~workers:2 () in
-  check_bool "adaptivity off -> Pooled" true (Cluster.shuffle_mode forced ~records:1 = `Pooled);
-  (* adaptive: the measured volume decides (cutoff rises with scarce
-     cores but is always in (8, 1_000_000) for any host) *)
+  (* the measured volume decides (cutoff rises with scarce cores but is
+     always in (8, 4 * 2048] for any host) *)
   let ad = Cluster.make ~parallel:true ~workers:2 () in
-  check_bool "adaptive on" true (Cluster.adaptive_shuffle ad);
   check_bool "host cores sampled" true (Cluster.host_cores ad >= 1);
   check_bool "tiny exchange -> Seq" true (Cluster.shuffle_mode ad ~records:8 = `Seq);
+  check_bool "cutoff volume -> Pooled" true (Cluster.shuffle_mode ad ~records:pooled_n = `Pooled);
   check_bool "bulk exchange -> Pooled" true (Cluster.shuffle_mode ad ~records:1_000_000 = `Pooled);
-  List.iter Cluster.shutdown [ forced; ad ]
+  Cluster.shutdown ad
 
 let () =
   Alcotest.run "distsim"
@@ -783,7 +815,7 @@ let () =
           Alcotest.test_case "collect" `Quick test_shuffle_parity_collect;
           Alcotest.test_case "joins" `Quick test_shuffle_parity_joins;
           Alcotest.test_case "workers=1 and empty" `Quick test_shuffle_parity_edges;
-          Alcotest.test_case "use_parallel_shuffle knob" `Quick test_shuffle_knob;
+          Alcotest.test_case "pooled eligibility" `Quick test_pooled_eligibility;
           Alcotest.test_case "adaptive mode selection" `Quick test_adaptive_shuffle_mode;
           Alcotest.test_case "antijoin feeds partition hist" `Quick
             test_antijoin_feeds_partition_hist;

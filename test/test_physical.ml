@@ -18,16 +18,8 @@ let check_rel msg expected actual =
   if not (Rel.equal expected actual) then
     Alcotest.failf "%s:@.expected %a@.got %a" msg Rel.pp_full expected Rel.pp_full actual
 
-(* a graph with two long chains and a cycle, to force several iterations *)
-let edges =
-  rel [ "src"; "trg" ]
-    [
-      [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ]; [ 5; 6 ];
-      [ 10; 11 ]; [ 11; 12 ]; [ 12; 10 ];
-      [ 3; 10 ]; [ 6; 1 ];
-    ]
-
-let closure_term = Mura.Patterns.closure (Term.Rel "E")
+let edges = Golden.edges
+let closure_term = Golden.closure_term
 let expected_closure = Mura.Eval.eval (Mura.Eval.env [ ("E", edges) ]) closure_term
 
 let session ?force_plan ?(workers = 4) () =
@@ -296,65 +288,40 @@ let test_analyze_render () =
   check_bool "has iteration counts" true (contains rendered "iters=");
   check_bool "has delta curve" true (contains rendered "deltas=[")
 
-(* --- fused delta / iteration-shuffle dedup --------------------------- *)
+(* --- golden counters / fused delta / iteration-shuffle dedup --------- *)
 
 let contains_sub text needle =
   let n = String.length needle and h = String.length text in
   let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
   go 0
 
-(* run a term with explicit delta-maintenance knobs and return everything
-   that must be invariant under them *)
-let knob_run ?force_plan ?(workers = 4) ~fused ~dedup term tables =
-  let cluster = Cluster.make ~workers () in
-  let config =
-    { (Exec.default_config cluster) with
-      force_plan;
-      use_fused_delta = fused;
-      use_shuffle_dedup = dedup;
-    }
-  in
-  let ctx = Exec.session config tables in
-  let result = Exec.run ctx term in
-  let sigs =
-    List.map
-      (fun (fr : Exec.fix_report) -> (fr.var, fr.plan, fr.iterations, fr.deltas))
-      (Exec.report ctx).fixpoints
-  in
-  (result, sigs, counters (Exec.metrics ctx))
+(* Every keyed configuration of [query] matches its golden row, and the
+   file pins exactly those configurations. *)
+let test_golden_counters query () =
+  let keys = List.filter (fun (q, _, _, _) -> q = query) Golden.all_keys in
+  check_int "every keyed run has a golden row" (List.length keys)
+    (List.length
+       (List.filter (fun (r : Golden.row) -> r.query = query) (Lazy.force Golden.goldens)));
+  List.iter
+    (fun (_, plan, workers, compiled) -> ignore (Golden.check ~query ~plan ~workers ~compiled))
+    keys
 
-(* The fused accumulator and the map-side seen filter are pure
-   optimisations: results, iteration counts and per-iteration delta
-   curves are bit-identical to the unfused baseline on every plan and
-   worker count; communication counters are identical whenever the seen
-   filter is off (the fused kernel is a narrow stage and moves nothing). *)
+(* The fused accumulator and the map-side seen filter are the only delta
+   maintenance: results match the centralized evaluator, and iteration
+   counts, per-iteration delta curves and communication counters match
+   the goldens on both semi-naive plans and worker counts. *)
 let test_fused_parity () =
   List.iter
-    (fun (name, term) ->
+    (fun query ->
       List.iter
         (fun plan ->
           List.iter
             (fun workers ->
-              let base_r, base_s, base_c =
-                knob_run ~force_plan:plan ~workers ~fused:false ~dedup:false term [ ("E", edges) ]
-              in
-              List.iter
-                (fun (fused, dedup) ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d fused=%b dedup=%b" name (Exec.plan_name plan)
-                      workers fused dedup
-                  in
-                  let r, s, c =
-                    knob_run ~force_plan:plan ~workers ~fused ~dedup term [ ("E", edges) ]
-                  in
-                  check_rel (label ^ ": results") base_r r;
-                  check_bool (label ^ ": iterations and deltas") true (base_s = s);
-                  if not dedup then
-                    check_bool (label ^ ": communication counters") true (base_c = c))
-                [ (true, false); (false, true); (true, true) ])
+              ignore (Golden.check ~query ~plan ~workers ~compiled:true);
+              ignore (Golden.check ~query ~plan ~workers ~compiled:false))
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s ])
-    [ ("closure", closure_term); ("same_gen", Mura.Patterns.same_generation ()) ]
+    [ "closure"; "same_gen" ]
 
 (* a fixpoint whose very first iteration derives nothing new *)
 let test_fused_empty_first_delta () =
@@ -362,81 +329,49 @@ let test_fused_empty_first_delta () =
   List.iter
     (fun plan ->
       List.iter
-        (fun (fused, dedup) ->
-          let r, sigs, _ =
-            knob_run ~force_plan:plan ~fused ~dedup closure_term [ ("E", self) ]
+        (fun compiled ->
+          let cluster = Cluster.make ~workers:4 () in
+          let config =
+            { (Exec.default_config cluster) with
+              force_plan = Some plan;
+              use_compiled_exec = compiled;
+            }
           in
-          check_rel "fixpoint of self-loops = E" self r;
-          match sigs with
-          | [ (_, _, iters, deltas) ] ->
-            check_int "terminates in one iteration" 1 iters;
-            check_bool "first delta empty" true (deltas = [ 0 ])
+          let ctx = Exec.session config [ ("E", self) ] in
+          check_rel "fixpoint of self-loops = E" self (Exec.run ctx closure_term);
+          match (Exec.report ctx).fixpoints with
+          | [ fr ] ->
+            check_int "terminates in one iteration" 1 fr.iterations;
+            check_bool "first delta empty" true (fr.deltas = [ 0 ])
           | _ -> Alcotest.fail "expected exactly one fixpoint report")
-        [ (false, false); (true, false); (true, true) ])
+        [ true; false ])
     [ Exec.P_gld; Exec.P_plw_s ]
 
-(* on P_gld the seen filter must strictly reduce what the iteration
-   shuffles move: transitive closure re-derives pairs every round *)
+(* on P_gld the seen filter drops re-derivations before the iteration
+   shuffle (transitive closure re-derives pairs every round); what is
+   moved is exactly the golden record count, checked by [Golden.check] *)
 let test_dedup_reduces_gld_shuffle () =
-  let run ~dedup =
-    let cluster = Cluster.make ~workers:4 () in
-    let config =
-      { (Exec.default_config cluster) with
-        force_plan = Some Exec.P_gld;
-        use_shuffle_dedup = dedup;
-      }
-    in
-    let ctx = Exec.session config [ ("E", edges) ] in
-    check_rel "closure while counting" expected_closure (Exec.run ctx closure_term);
-    let m = Exec.metrics ctx in
-    (m.Metrics.shuffled_records, m.Metrics.dedup_dropped_records)
-  in
-  let off_records, off_dropped = run ~dedup:false in
-  let on_records, on_dropped = run ~dedup:true in
-  check_int "no drops when off" 0 off_dropped;
-  check_bool "re-derivations dropped" true (on_dropped > 0);
-  check_bool
-    (Printf.sprintf "fewer shuffled records (%d < %d)" on_records off_records)
-    true
-    (on_records < off_records)
-
-let test_explain_delta_mode () =
-  let ctx = session () in
-  check_bool "fused mode shown" true
-    (contains_sub (Exec.explain ctx closure_term)
-       "Fixpoint delta: fused in-place diff+union, iteration-shuffle dedup on");
-  let cluster = Cluster.make ~workers:2 () in
-  let config =
-    { (Exec.default_config cluster) with use_fused_delta = false; use_shuffle_dedup = false }
-  in
-  let ctx2 = Exec.session config [ ("E", edges) ] in
-  check_bool "baseline mode shown" true
-    (contains_sub (Exec.explain ctx2 closure_term)
-       "Fixpoint delta: unfused diff/union (baseline), iteration-shuffle dedup off")
+  List.iter
+    (fun compiled ->
+      let row = Golden.check ~query:"closure" ~plan:Exec.P_gld ~workers:4 ~compiled in
+      check_bool "re-derivations dropped" true (row.dedup_dropped > 0))
+    [ true; false ]
 
 (* --- compiled columnar execution ------------------------------------- *)
 
-(* deterministic Erdős–Rényi-ish multigraph (LCG, no global Random state) *)
-let er_graph ~n ~m ~seed =
-  let state = ref seed in
-  let next bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  rel [ "src"; "trg" ] (List.init m (fun _ -> [ next n; next n ]))
+let er_graph = Golden.er_graph
 
 let counters_full (m : Metrics.t) =
   (counters m, m.Metrics.dedup_dropped_records)
 
 (* run with the compiled-execution knob explicit and return everything the
    compiled core promises to keep bit-identical to the interpreter *)
-let compiled_run ~force_plan ~workers ~compiled ~dedup term tables =
+let compiled_run ~force_plan ~workers ~compiled term tables =
   let cluster = Cluster.make ~workers () in
   let config =
     { (Exec.default_config cluster) with
       force_plan = Some force_plan;
       use_compiled_exec = compiled;
-      use_shuffle_dedup = dedup;
     }
   in
   let ctx = Exec.session config tables in
@@ -467,23 +402,16 @@ let test_compiled_parity () =
         (fun plan ->
           List.iter
             (fun workers ->
-              List.iter
-                (fun dedup ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d dedup=%b" gname (Exec.plan_name plan) workers dedup
-                  in
-                  let br, bs, bc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:false ~dedup closure_term
-                      [ ("E", g) ]
-                  in
-                  let cr, cs, cc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:true ~dedup closure_term
-                      [ ("E", g) ]
-                  in
-                  check_rel (label ^ ": results") br cr;
-                  check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-                  check_bool (label ^ ": communication counters") true (bc = cc))
-                [ false; true ])
+              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
+              let br, bs, bc =
+                compiled_run ~force_plan:plan ~workers ~compiled:false closure_term [ ("E", g) ]
+              in
+              let cr, cs, cc =
+                compiled_run ~force_plan:plan ~workers ~compiled:true closure_term [ ("E", g) ]
+              in
+              check_rel (label ^ ": results") br cr;
+              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
+              check_bool (label ^ ": communication counters") true (bc = cc))
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s ])
     graphs
@@ -532,19 +460,7 @@ module Sh = Physical.Pipeline.Shell
 
 (* a shell-heavy plan: every non-fixpoint operator engages around the
    closure — select, rename, join, antiproject, project, union, antijoin *)
-let shell_term =
-  let two_hop =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Rel "E"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-  in
-  Term.Antijoin
-    ( Term.Union
-        ( Term.Select (Pred.Gt_const ("src", 2), two_hop),
-          Term.Project ([ "src"; "trg" ], closure_term) ),
-      Term.Select (Pred.Eq_const ("src", 1), Term.Rel "E") )
+let shell_term = Golden.shell_term
 
 (* joins with no shared column: broadcast -> compiled cartesian probe;
    shuffle -> the one dynamic per-subtree fallback *)
@@ -568,8 +484,7 @@ let shell_run ?(threshold = -1) ~workers ~compiled term tables =
 
 (* The compiled shell is a pure execution-strategy change: results and
    every communication counter match the interpreter on all three
-   fixpoint plans (including P_plw^pg's compiled local fixpoints), every
-   worker count and dedup setting. *)
+   fixpoint plans and every worker count. *)
 let test_shell_parity () =
   let graphs = [ ("edges", edges); ("sparse_er", er_graph ~n:40 ~m:60 ~seed:7) ] in
   List.iter
@@ -579,25 +494,17 @@ let test_shell_parity () =
         (fun plan ->
           List.iter
             (fun workers ->
-              List.iter
-                (fun dedup ->
-                  let label =
-                    Printf.sprintf "%s %s w=%d dedup=%b" gname (Exec.plan_name plan) workers
-                      dedup
-                  in
-                  let br, bs, bc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:false ~dedup shell_term
-                      [ ("E", g) ]
-                  in
-                  let cr, cs, cc =
-                    compiled_run ~force_plan:plan ~workers ~compiled:true ~dedup shell_term
-                      [ ("E", g) ]
-                  in
-                  check_rel (label ^ ": central agreement") central cr;
-                  check_rel (label ^ ": results") br cr;
-                  check_bool (label ^ ": iterations and delta curves") true (bs = cs);
-                  check_bool (label ^ ": communication counters") true (bc = cc))
-                [ false; true ])
+              let label = Printf.sprintf "%s %s w=%d" gname (Exec.plan_name plan) workers in
+              let br, bs, bc =
+                compiled_run ~force_plan:plan ~workers ~compiled:false shell_term [ ("E", g) ]
+              in
+              let cr, cs, cc =
+                compiled_run ~force_plan:plan ~workers ~compiled:true shell_term [ ("E", g) ]
+              in
+              check_rel (label ^ ": central agreement") central cr;
+              check_rel (label ^ ": results") br cr;
+              check_bool (label ^ ": iterations and delta curves") true (bs = cs);
+              check_bool (label ^ ": communication counters") true (bc = cc))
             [ 1; 4 ])
         [ Exec.P_gld; Exec.P_plw_s; Exec.P_plw_pg ])
     graphs
@@ -660,36 +567,27 @@ let test_shell_explain () =
   let text2 = Exec.explain ctx bad in
   check_bool "interpreted nodes annotated with the reason" true
     (contains_sub text2 "[interpreted: zero_arity]");
+  (* P_plw^pg names the local executor that actually runs: SQL when the
+     local fixpoint is inside the SQL dialect, volcano with the reason
+     otherwise, and the instrumented volcano path under EXPLAIN ANALYZE *)
   let ctx3 = session ~force_plan:Exec.P_plw_pg () in
-  let text3 = Exec.explain ctx3 closure_term in
-  check_bool "P_plw^pg local plan verdict" true
-    (contains_sub text3 "local plan: compiled batch fixpoint")
-
-(* the P_plw^pg local executor agrees with the Instance oracle and
-   rejects non-fixpoints statically *)
-let test_bexec_local () =
-  let tc_step =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Var "X"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
+  check_bool "P_plw^pg SQL local plan" true
+    (contains_sub (Exec.explain ctx3 closure_term) "local plan: SQL");
+  let filtered_step =
+    Term.Fix
+      ( "X",
+        Term.Union
+          ( Term.Rel "E",
+            Term.Select
+              (Pred.Gt_const ("trg", 2), Mura.Patterns.compose (Term.Var "X") (Term.Rel "E")) ) )
   in
-  let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
-  let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
-  let db = Localdb.Instance.create () in
-  Localdb.Instance.register db "E" edges;
-  Localdb.Instance.register db "__seed" edges;
-  (match Localdb.Bexec.plan ~env local with
-  | Error r -> Alcotest.failf "bexec rejected the TC local plan: %s" r
-  | Ok p ->
-    let got = Localdb.Bexec.run p db in
-    let want = Localdb.Instance.query db local in
-    check_rel "bexec = instance oracle" (Rel.relayout (Rel.schema got) want) got);
-  match Localdb.Bexec.plan ~env (Term.Rel "E") with
-  | Error "not_a_fixpoint" -> ()
-  | Error r -> Alcotest.failf "wrong rejection slug: %s" r
-  | Ok _ -> Alcotest.fail "non-fixpoint must be rejected"
+  check_bool "P_plw^pg volcano local plan with its reason" true
+    (contains_sub (Exec.explain ctx3 filtered_step)
+       "local plan: volcano (predicate trg>2 not expressible in the local SQL dialect)");
+  check_bool "P_plw^pg volcano under EXPLAIN ANALYZE" true
+    (contains_sub
+       (Exec.explain (analyze_session ~force_plan:Exec.P_plw_pg ()) closure_term)
+       "local plan: volcano (instrumented for EXPLAIN ANALYZE)")
 
 (* grouped reductions as fused batch folds agree with a naive driver fold *)
 let test_group_aggregates () =
@@ -715,9 +613,9 @@ let test_group_aggregates () =
   let expected2 = rel [ "trg"; "src" ] (Hashtbl.fold (fun k v acc -> [ k; v ] :: acc) tbl2 []) in
   check_rel "group_min" expected2 mins
 
-(* capacity-hint audit: the batch paths presize every output, so neither
-   the shell's materialize/union/to_dds nor the local batch fixpoint
-   ever triggers an insert-time rehash *)
+(* capacity-hint audit: the batch paths presize every output, so the
+   shell's materialize/union/to_dds never triggers an insert-time
+   rehash *)
 let test_compiled_batch_no_rehash () =
   let g = er_graph ~n:30 ~m:120 ~seed:11 in
   let cluster = Cluster.make ~workers:2 () in
@@ -728,26 +626,7 @@ let test_compiled_batch_no_rehash () =
     Sh.materialize cluster (Sh.project [ "src" ] (Sh.filter (fun tu -> tu.(0) land 1 = 0) c0))
   in
   ignore (Sh.to_dds cluster (Sh.union cluster m m));
-  check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ());
-  let tc_step =
-    Term.Antiproject
-      ( [ "_m" ],
-        Term.Join
-          ( Term.Rename ([ ("trg", "_m") ], Term.Var "X"),
-            Term.Rename ([ ("src", "_m") ], Term.Rel "E") ) )
-  in
-  let local = Term.Fix ("X", Term.union_all [ Term.Rel "__seed"; tc_step ]) in
-  let env = [ ("__seed", sch [ "src"; "trg" ]); ("E", sch [ "src"; "trg" ]) ] in
-  let db = Localdb.Instance.create () in
-  Localdb.Instance.register db "E" g;
-  Localdb.Instance.register db "__seed" g;
-  match Localdb.Bexec.plan ~env local with
-  | Error r -> Alcotest.failf "bexec rejected: %s" r
-  | Ok p ->
-    Tset.reset_rehash_grows ();
-    ignore (Localdb.Bexec.run p db);
-    check_int "no insert-triggered rehash in the local batch fixpoint" 0
-      (Tset.rehash_grow_count ())
+  check_int "no insert-triggered rehash in shell materialize/union" 0 (Tset.rehash_grow_count ())
 
 (* --- incremental fixpoint maintenance -------------------------------- *)
 
@@ -919,8 +798,10 @@ let () =
           Alcotest.test_case "fused/dedup parity" `Quick test_fused_parity;
           Alcotest.test_case "empty first delta" `Quick test_fused_empty_first_delta;
           Alcotest.test_case "dedup shrinks P_gld shuffle" `Quick test_dedup_reduces_gld_shuffle;
-          Alcotest.test_case "explain shows delta mode" `Quick test_explain_delta_mode;
         ] );
+      ( "golden",
+        List.map (fun (q, _) -> Alcotest.test_case q `Quick (test_golden_counters q)) Golden.queries
+      );
       ( "compiled exec",
         [
           Alcotest.test_case "compiled/interpreted parity" `Quick test_compiled_parity;
@@ -934,7 +815,6 @@ let () =
           Alcotest.test_case "per-subtree fallback + telemetry" `Quick test_shell_subtree_fallback;
           Alcotest.test_case "no double const evaluation" `Quick test_shell_no_double_const_eval;
           Alcotest.test_case "explain annotates subtrees" `Quick test_shell_explain;
-          Alcotest.test_case "bexec local fixpoint" `Quick test_bexec_local;
           Alcotest.test_case "grouped batch folds" `Quick test_group_aggregates;
           Alcotest.test_case "zero-rehash capacity audit" `Quick test_compiled_batch_no_rehash;
         ] );

@@ -301,18 +301,24 @@ let test_exchange_phase_spans () =
   let edges =
     Relation.Rel.of_tuples
       (Relation.Schema.of_list [ "src"; "trg" ])
-      (List.init 64 (fun i -> [| i; i mod 5 |]))
+      (* above the pooled-exchange volume cutoff on any host (2048
+         records, four times that without spare cores) *)
+      (List.init ((4 * 2048) + 1000) (fun i -> [| i; i mod 5 |]))
   in
   let tr, () =
     traced (fun () ->
-        (* adaptivity off: 64 tuples are below the volume cutoff, and this
-           test asserts the pooled two-phase spans specifically *)
-        let c = Distsim.Cluster.make ~parallel:true ~adaptive_shuffle:false ~workers:4 () in
+        let c = Distsim.Cluster.make ~parallel:true ~workers:4 () in
         check_bool "pooled shuffle active" true (Distsim.Cluster.pooled_shuffle c);
         ignore (Distsim.Dds.repartition ~by:[ "trg" ] (Distsim.Dds.of_rel ~by:[ "src" ] c edges));
         Distsim.Cluster.shutdown c)
   in
   let evs = Trace.events tr in
+  check_int "both exchanges recorded the pooled mode" 2
+    (List.length
+       (List.filter
+          (fun (e : Trace.event) ->
+            List.assoc_opt "exchange_mode" e.Trace.attrs = Some (Trace.Str "pooled"))
+          evs));
   let phase name =
     List.filter (fun (e : Trace.event) -> e.Trace.kind = Trace.Span && e.Trace.name = name) evs
   in
