@@ -859,135 +859,6 @@ module MicroShell = struct
   end
 
 (* ------------------------------------------------------------------ *)
-(* micro_serve: the serving layer's caches vs a cache-less server      *)
-(* ------------------------------------------------------------------ *)
-
-(* Two servers over identical clusters run the same single-session query
-   stream (the serve_mix reachability mix, each submission a fresh
-   translation of the query): one with the plan and result caches
-   disabled (zero budgets), one with the defaults. Every response is
-   checked against the reference evaluator — the parity gate holds at
-   every scale; at full scale the cached server must also beat the
-   uncached one by 2x (repeat submissions are near-free) and must
-   evaluate strictly fewer fixpoints. *)
-module MicroServe = struct
-  type run = {
-    wall_s : float;
-    completed : int;
-    hit_rate : float;
-    fix_evals : int;
-    parity : bool;
-  }
-
-
-  let measure ~cached ~repeat graph =
-    let cluster = Distsim.Cluster.make ~workers:4 () in
-    let t =
-      if cached then Serve.create ~cluster ()
-      else
-        (* the cache-less baseline must also disable incremental repair:
-           a parked handle answers repeat submissions from its converged
-           accumulator, which is exactly the reuse being benchmarked *)
-        Serve.create ~plan_cache_capacity:0 ~result_cache_bytes:0 ~max_repair_handles:0
-          ~cluster ()
-    in
-    Serve.register t "E" graph;
-    let mix = Harness.Serve_mix.default_mix () in
-    let env = Mura.Eval.env [ ("E", graph) ] in
-    let expected = List.map (fun (l, mk) -> (l, Mura.Eval.eval env (mk ()))) mix in
-    let sn = Serve.open_session t in
-    let parity = ref true in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeat do
-      List.iter
-        (fun (l, mk) ->
-          let r = Serve.query t sn (mk ()) in
-          if not (Rel.equal (List.assoc l expected) r.Serve.rel) then parity := false)
-        mix
-    done;
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let s = Serve.stats t in
-    Serve.shutdown t;
-    {
-      wall_s;
-      completed = s.Serve.completed;
-      hit_rate =
-        float_of_int (s.Serve.result_hits + s.Serve.shared_joins)
-        /. float_of_int (max 1 s.Serve.completed);
-      fix_evals = s.Serve.fix_evals;
-      parity = !parity;
-    }
-
-  let run () =
-    section "micro_serve — plan/result caching vs a cache-less server";
-    let repeat = sc 20 3 in
-    let er ~seed ~nodes ~deg =
-      G.erdos_renyi ~seed ~nodes ~p:(float_of_int deg /. float_of_int nodes) ()
-    in
-    let workloads =
-      [
-        ("path", path_graph (sc 400 60));
-        ("er", er ~seed:47 ~nodes:(sc 1500 150) ~deg:3);
-      ]
-    in
-    heading "single session, %d submissions of the 3-query mix, 4 workers" repeat;
-    heading "%-8s %8s %9s %12s %12s %9s %9s" "workload" "edges" "queries" "uncached(s)"
-      "cached(s)" "hit rate" "fix evals";
-    let rows =
-      List.map
-        (fun (wname, g) ->
-          let base = measure ~cached:false ~repeat g in
-          let fast = measure ~cached:true ~repeat g in
-          heading "%-8s %8d %9d %12.3f %12.3f %8.0f%% %4d->%-4d" wname (Rel.cardinal g)
-            fast.completed base.wall_s fast.wall_s (100. *. fast.hit_rate) base.fix_evals
-            fast.fix_evals;
-          (wname, Rel.cardinal g, base, fast))
-        workloads
-    in
-    let total f = List.fold_left (fun acc (_, _, b, c) -> acc +. f b c) 0. rows in
-    let total_base = total (fun b _ -> b.wall_s) and total_cached = total (fun _ c -> c.wall_s) in
-    let speedup = total_base /. Float.max 1e-9 total_cached in
-    heading "overall: uncached %.3fs, cached %.3fs (%.2fx)" total_base total_cached speedup;
-    let oc = open_out "BENCH_serve.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        let run_json r =
-          Printf.sprintf
-            "{\"wall_s\":%.6f,\"completed\":%d,\"hit_rate\":%.3f,\"fix_evals\":%d,\"parity\":%b}"
-            r.wall_s r.completed r.hit_rate r.fix_evals r.parity
-        in
-        let row_json (wname, edges, base, fast) =
-          Printf.sprintf
-            "{\"workload\":\"%s\",\"edges\":%d,\"uncached\":%s,\"cached\":%s,\"speedup\":%.3f}"
-            wname edges (run_json base) (run_json fast)
-            (base.wall_s /. Float.max 1e-9 fast.wall_s)
-        in
-        Printf.fprintf oc
-          "{\"name\":\"serve\",\"quick\":%b,\"repeat\":%d,\n\
-           \"rows\":[%s],\n\
-           \"total_uncached_wall_s\":%.6f,\"total_cached_wall_s\":%.6f,\"overall_speedup\":%.3f}\n"
-          !quick repeat
-          (String.concat ",\n" (List.map row_json rows))
-          total_base total_cached speedup);
-    heading "wrote BENCH_serve.json";
-    (* hard gates: parity and work reduction always; wall-clock speedup
-       only at full scale (quick workloads are too small for stable
-       ratios) *)
-    List.iter
-      (fun (wname, _, base, fast) ->
-        if not (base.parity && fast.parity) then
-          failwith (Printf.sprintf "micro_serve: %s diverged from the reference results" wname);
-        if fast.fix_evals >= base.fix_evals then
-          failwith
-            (Printf.sprintf "micro_serve: %s cached server did not reuse fixpoints (%d vs %d)"
-               wname fast.fix_evals base.fix_evals))
-      rows;
-    if (not !quick) && speedup < 2.0 then
-      failwith (Printf.sprintf "micro_serve: caching speedup below 2x (%.2fx)" speedup)
-end
-
-(* ------------------------------------------------------------------ *)
 (* micro_telemetry: the ambient metrics registry on the serve mix.     *)
 (*                                                                     *)
 (* Three gates, the first two always on:                               *)
@@ -1334,7 +1205,6 @@ let experiments =
     ("micro", Micro.run);
     ("micro_compiled", MicroCompiled.run);
     ("micro_shell", MicroShell.run);
-    ("micro_serve", MicroServe.run);
     ("micro_telemetry", MicroTelemetry.run);
     ("micro_incremental", MicroIncremental.run);
   ]

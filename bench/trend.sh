@@ -6,9 +6,9 @@
 # per-metric deltas, then stores the current snapshots for next time.
 #
 # Usage, from the repository root (or anywhere):
-#   dune exec bench/main.exe -- micro_serve micro_telemetry
+#   dune exec bench/main.exe -- micro_telemetry micro_incremental
 #   sh bench/trend.sh                 # diff + record every BENCH_*.json
-#   sh bench/trend.sh BENCH_serve.json   # a subset
+#   sh bench/trend.sh BENCH_telemetry.json   # a subset
 set -eu
 
 cd "$(dirname "$0")/.."

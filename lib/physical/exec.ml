@@ -1314,6 +1314,7 @@ module Incr = struct
   let resume_iterations h = h.i_resume_iterations
   let plan h = h.i_plan
   let establish_report h = h.i_report
+  let repairable h name = Result.is_ok (Mura.Deriv.supported ~changed:[ name ] h.i_body)
 
   let establish config ~tables term =
     let var, body =

@@ -212,6 +212,13 @@ module Incr : sig
 
   val plan : handle -> fixpoint_plan
 
+  val repairable : handle -> string -> bool
+  (** [repairable h name]: whether {!update} can absorb a change to
+      relation [name] — [name] occurs in the fixpoint body only
+      positively (never under an antijoin right side or inside a nested
+      fixpoint), or not at all. When it cannot, every update to [name]
+      reports [`Unsupported]. *)
+
   val establish_report : handle -> fix_report list
   (** The establishment run's fixpoint reports (innermost-first), for
       callers that account iterations and plan choices per evaluation. *)

@@ -44,14 +44,10 @@ let promise_await p =
   Mutex.unlock p.pm;
   match st with `Done r -> r | `Failed e -> raise e | `Pending -> assert false
 
-type centry = {
-  c_rel : Rel.t;
-  c_deps : string list;
-  c_bytes : int;
-  mutable c_last_use : int;
-}
-
-type pentry = { pl_term : Term.t; pl_deps : string list; mutable pl_last_use : int }
+(* An entry of the plan cache, the result cache or the repair table: its
+   value, the relation names it was derived from, and its last use on
+   the server's LRU clock. *)
+type 'a entry = { v : 'a; deps : string list; mutable last_use : int }
 
 type pending = { q_session : int; q_seq : int; mutable q_admitted : bool }
 
@@ -88,16 +84,16 @@ type query_trace = {
    only the differential resume — instead of recomputing from scratch.
 
    Pending deltas are a net (inserts, deletes) pair per relation with
-   delete-before-insert apply semantics. Folding an arriving batch
-   (i, d) into the net (I, D) preserves arrival order:
-   I' = (I \ d) ∪ i and D' = (D \ i) ∪ d — a tuple's final presence is
-   decided by the last batch that mentions it. *)
+   delete-before-insert apply semantics. [update] trims each batch
+   (i, d) to its effect on the current catalog, so i and d are
+   disjoint. Folding it into the net (I, D) as I' = (I \ d) ∪ i and
+   D' = (D \ i) ∪ d keeps the pair disjoint and preserves arrival order:
+   a tuple's final presence is decided by the last batch that mentions
+   it. *)
 type rhandle = {
   r_handle : Exec.Incr.handle;
-  r_deps : string list;
   mutable r_ins : (string * Rel.t) list;  (* pending net inserts *)
   mutable r_del : (string * Rel.t) list;  (* pending net deletes *)
-  mutable r_last_use : int;
 }
 
 type t = {
@@ -107,29 +103,29 @@ type t = {
       (* compiled-shell analyses shared by every session this service
          opens; dropped on register (schemas may change) *)
   max_inflight : int;
-  plan_capacity : int;
   cache_budget : int;
   max_plans : int;
-  lock : Mutex.t;  (* guards every mutable field below *)
-  admit_cond : Condition.t;
   cluster_lock : Mutex.t;
-      (* serializes actual cluster execution segments; never held while
-         waiting on a promise or on admission *)
+      (* serializes cluster segments ([on_cluster]); never held while
+         waiting on a promise or on admission. Lock order: [lock] may be
+         taken while holding [cluster_lock], never the reverse *)
+  lock : Mutex.t;  (* guards every mutable field below; held only briefly *)
+  admit_cond : Condition.t;
   mutable tbl : (string * Rel.t) list;
   mutable version : int;
-  table_versions : (string, int) Hashtbl.t;  (* name -> version at last register *)
+  table_versions : (string, int) Hashtbl.t;  (* name -> version of its last change *)
   sessions : (int, Session.t) Hashtbl.t;
   served : (int, int) Hashtbl.t;  (* session id -> evaluations admitted so far *)
   mutable next_session : int;
   mutable next_seq : int;
   mutable pending : pending list;  (* arrival order *)
   mutable inflight : int;
-  plan_cache : (string, pentry) Hashtbl.t;
-  result_cache : (string, centry) Hashtbl.t;
+  plan_cache : (string, Term.t entry) Hashtbl.t;
+  result_cache : (string, Rel.t entry) Hashtbl.t;
   mutable cache_bytes : int;
   max_repair_handles : int;  (* 0 disables incremental repair *)
   repair_frac : float;  (* pending-delta / base-size fallback threshold *)
-  repair : (string, rhandle) Hashtbl.t;  (* fix normal key -> live handle *)
+  repair : (string, rhandle entry) Hashtbl.t;  (* fix normal key -> live handle *)
   q_promises : (string, promise) Hashtbl.t;
       (* whole-query in-flight evaluations, by normal key of the input *)
   f_promises : (string, promise) Hashtbl.t;
@@ -174,10 +170,12 @@ type t = {
   mutable c_repair_fallbacks : int;
 }
 
-let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
-    ?(result_cache_bytes = 64 * 1024 * 1024) ?(max_plans = 120) ?(sample_every = 0)
-    ?(slow_threshold_ms = infinity) ?(slow_log_capacity = 64) ?(max_repair_handles = 32)
-    ?(repair_max_delta_frac = 0.5) ?config ~cluster () =
+(* optimized plans kept, LRU *)
+let plan_cache_capacity = 128
+
+let create ?(max_inflight = 1) ?(result_cache_bytes = 64 * 1024 * 1024) ?(max_plans = 120)
+    ?(sample_every = 0) ?(slow_threshold_ms = infinity) ?(slow_log_capacity = 64)
+    ?(max_repair_handles = 32) ?(repair_max_delta_frac = 0.5) ?config ~cluster () =
   if max_inflight < 1 then invalid_arg "Serve.create: max_inflight < 1";
   if max_repair_handles < 0 then invalid_arg "Serve.create: max_repair_handles < 0";
   if repair_max_delta_frac < 0. then invalid_arg "Serve.create: repair_max_delta_frac < 0";
@@ -201,12 +199,11 @@ let create ?(max_inflight = 1) ?(plan_cache_capacity = 128)
     exec_config;
     shell_statics = Exec.shell_cache ();
     max_inflight;
-    plan_capacity = plan_cache_capacity;
     cache_budget = result_cache_bytes;
     max_plans;
+    cluster_lock = Mutex.create ();
     lock = Mutex.create ();
     admit_cond = Condition.create ();
-    cluster_lock = Mutex.create ();
     tbl = [];
     version = 0;
     table_versions = Hashtbl.create 16;
@@ -327,55 +324,17 @@ let close_session t (s : Session.t) =
 (* Catalog and invalidation                                            *)
 (* ------------------------------------------------------------------ *)
 
-let dep_version t name =
-  match Hashtbl.find_opt t.table_versions name with Some v -> v | None -> 0
+(* with [t.lock] held: whether none of [deps] changed after catalog
+   version [v0], i.e. a snapshot taken at [v0] still reads them as the
+   catalog does now *)
+let current t ~v0 deps =
+  List.for_all
+    (fun d -> match Hashtbl.find_opt t.table_versions d with Some v -> v <= v0 | None -> true)
+    deps
 
-let register t name rel =
-  Mutex.lock t.lock;
-  Exec.clear_shell_cache t.shell_statics;
-  t.version <- t.version + 1;
-  Hashtbl.replace t.table_versions name t.version;
-  t.tbl <- (name, rel) :: List.remove_assoc name t.tbl;
-  (* drop exactly the dependent cache entries *)
-  let doomed_results =
-    Hashtbl.fold
-      (fun k e acc -> if List.mem name e.c_deps then (k, e) :: acc else acc)
-      t.result_cache []
-  in
-  List.iter
-    (fun (k, e) ->
-      Hashtbl.remove t.result_cache k;
-      t.cache_bytes <- t.cache_bytes - e.c_bytes;
-      t.c_invalidated <- t.c_invalidated + 1)
-    doomed_results;
-  let doomed_plans =
-    Hashtbl.fold
-      (fun k e acc -> if List.mem name e.pl_deps then k :: acc else acc)
-      t.plan_cache []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.plan_cache k;
-      t.c_invalidated <- t.c_invalidated + 1)
-    doomed_plans;
-  (* stop new waiters from joining in-flight evaluations over the old
-     contents; owners still fulfill their promise object for waiters
-     that attached before this mutation *)
-  let purge tbl =
-    let doomed =
-      Hashtbl.fold (fun k p acc -> if List.mem name p.p_deps then k :: acc else acc) tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed
-  in
-  purge t.q_promises;
-  purge t.f_promises;
-  (* a full replacement severs the delta chain: the handle's catalog has
-     no net delta to the new contents, so repair is off the table *)
-  let doomed_handles =
-    Hashtbl.fold (fun k h acc -> if List.mem name h.r_deps then k :: acc else acc) t.repair []
-  in
-  List.iter (Hashtbl.remove t.repair) doomed_handles;
-  Mutex.unlock t.lock
+let rel_bytes rel =
+  let arity = List.length (Schema.cols (Rel.schema rel)) in
+  64 + (Metrics.tuple_bytes arity * Rel.cardinal rel)
 
 (* Fold an arriving (inserts, deletes) batch for [name] into the net
    pending pair, preserving arrival order (see [rhandle]). *)
@@ -398,62 +357,94 @@ let merge_pending ~name ~ins ~del (pi, pd) =
   let nd = plus (minus (get pd) ins) del in
   (put pi ni, put pd nd)
 
-(* Register an edge-batch update to [name]: the catalog advances, the
-   dependent cached results are dropped (they must never be served
-   stale) — but instead of being forgotten, their live repair handles
-   absorb the delta as pending work. The next miss on such a fixpoint
-   pays only the differential resume. Plan-cache entries survive: a
-   rewritten term stays semantically valid under any catalog contents. *)
-let update ?inserts ?deletes t name =
-  Mutex.lock t.lock;
-  match List.assoc_opt name t.tbl with
-  | None ->
-    Mutex.unlock t.lock;
-    invalid_arg (Printf.sprintf "Serve.update: unknown relation %s" name)
-  | Some base ->
-    let check what = function
-      | Some r when not (Schema.equal_names (Rel.schema r) (Rel.schema base)) ->
-        Mutex.unlock t.lock;
-        invalid_arg (Printf.sprintf "Serve.update: %s schema mismatch for %s" what name)
-      | _ -> ()
+(* With [t.lock] held: advance the catalog version of [name] and drop
+   what was derived from its old contents — dependent results, and
+   in-flight promises (new waiters must not join evaluations over the
+   old contents; owners still fulfill their promise object for waiters
+   that attached before). A full replacement ([`Replaced]) also drops
+   the dependent plans, whose statistics changed, and the dependent
+   repair handles: their catalog has no net delta to the new contents.
+   An edge batch ([`Delta]) parks its net delta on the dependent
+   handles that can absorb it and drops the others; plans survive it. *)
+let invalidate t name change =
+  t.version <- t.version + 1;
+  Hashtbl.replace t.table_versions name t.version;
+  let drop_dependent ?(keep = fun _ -> false) tbl dropped =
+    Hashtbl.filter_map_inplace
+      (fun _ e ->
+        if List.mem name e.deps && not (keep e) then begin
+          dropped e;
+          None
+        end
+        else Some e)
+      tbl
+  in
+  let invalidated _ = t.c_invalidated <- t.c_invalidated + 1 in
+  drop_dependent t.result_cache (fun e ->
+      t.cache_bytes <- t.cache_bytes - rel_bytes e.v;
+      invalidated e);
+  let purge tbl =
+    Hashtbl.filter_map_inplace (fun _ p -> if List.mem name p.p_deps then None else Some p) tbl
+  in
+  purge t.q_promises;
+  purge t.f_promises;
+  match change with
+  | `Replaced ->
+    drop_dependent t.plan_cache invalidated;
+    drop_dependent t.repair ignore
+  | `Delta (ins, del) ->
+    let park e =
+      let absorbs = Exec.Incr.repairable e.v.r_handle name in
+      if absorbs then begin
+        let pi, pd = merge_pending ~name ~ins ~del (e.v.r_ins, e.v.r_del) in
+        e.v.r_ins <- pi;
+        e.v.r_del <- pd
+      end;
+      absorbs
     in
-    check "insert" inserts;
-    check "delete" deletes;
-    t.version <- t.version + 1;
-    Hashtbl.replace t.table_versions name t.version;
+    drop_dependent ~keep:park t.repair ignore
+
+let register t name rel =
+  Mutex.protect t.lock @@ fun () ->
+  Exec.clear_shell_cache t.shell_statics;
+  t.tbl <- (name, rel) :: List.remove_assoc name t.tbl;
+  invalidate t name `Replaced
+
+(* Register an edge-batch update to [name]. The batch is first trimmed
+   to its effect: inserts already present and deletes of absent tuples
+   (or of tuples the batch re-inserts) change nothing. A batch with no
+   effect leaves the version, the caches and the handles alone. *)
+let update ?inserts ?deletes t name =
+  Mutex.protect t.lock @@ fun () ->
+  let base =
+    match List.assoc_opt name t.tbl with
+    | Some base -> base
+    | None -> invalid_arg (Printf.sprintf "Serve.update: unknown relation %s" name)
+  in
+  let effective what trim = function
+    | None -> None
+    | Some r ->
+      if not (Schema.equal_names (Rel.schema r) (Rel.schema base)) then
+        invalid_arg (Printf.sprintf "Serve.update: %s schema mismatch for %s" what name);
+      let r = trim r in
+      if Rel.is_empty r then None else Some r
+  in
+  let ins = effective "insert" (fun i -> Rel.diff i base) inserts in
+  let del =
+    effective "delete"
+      (fun d ->
+        let d = Rel.inter d base in
+        match inserts with Some i -> Rel.diff d i | None -> d)
+      deletes
+  in
+  if Option.is_some ins || Option.is_some del then begin
     let updated =
-      let after_del = match deletes with Some d -> Rel.diff base d | None -> base in
-      match inserts with Some i -> Rel.union after_del i | None -> after_del
+      let after_del = match del with Some d -> Rel.diff base d | None -> base in
+      match ins with Some i -> Rel.union after_del i | None -> after_del
     in
     t.tbl <- (name, updated) :: List.remove_assoc name t.tbl;
-    let doomed_results =
-      Hashtbl.fold
-        (fun k e acc -> if List.mem name e.c_deps then (k, e) :: acc else acc)
-        t.result_cache []
-    in
-    List.iter
-      (fun (k, e) ->
-        Hashtbl.remove t.result_cache k;
-        t.cache_bytes <- t.cache_bytes - e.c_bytes;
-        t.c_invalidated <- t.c_invalidated + 1)
-      doomed_results;
-    let purge tbl =
-      let doomed =
-        Hashtbl.fold (fun k p acc -> if List.mem name p.p_deps then k :: acc else acc) tbl []
-      in
-      List.iter (Hashtbl.remove tbl) doomed
-    in
-    purge t.q_promises;
-    purge t.f_promises;
-    Hashtbl.iter
-      (fun _ h ->
-        if List.mem name h.r_deps then begin
-          let pi, pd = merge_pending ~name ~ins:inserts ~del:deletes (h.r_ins, h.r_del) in
-          h.r_ins <- pi;
-          h.r_del <- pd
-        end)
-      t.repair;
-    Mutex.unlock t.lock
+    invalidate t name (`Delta (ins, del))
+  end
 
 let graph_version t =
   Mutex.lock t.lock;
@@ -474,84 +465,62 @@ let tables t =
   l
 
 (* ------------------------------------------------------------------ *)
-(* Result cache (LRU over a byte budget)                               *)
+(* Plan cache, result cache and repair table (LRU)                     *)
 (* ------------------------------------------------------------------ *)
 
-let rel_bytes rel =
-  let arity = List.length (Schema.cols (Rel.schema rel)) in
-  64 + (Metrics.tuple_bytes arity * Rel.cardinal rel)
+(* all helpers run with [t.lock] held *)
 
-(* all cache helpers run with [t.lock] held *)
+let touch t e =
+  t.clock <- t.clock + 1;
+  e.last_use <- t.clock
 
-let cache_find t key =
-  match Hashtbl.find_opt t.result_cache key with
+let find t tbl key =
+  match Hashtbl.find_opt tbl key with
   | Some e ->
-    t.clock <- t.clock + 1;
-    e.c_last_use <- t.clock;
-    Some e.c_rel
+    touch t e;
+    Some e.v
   | None -> None
 
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, e') when e'.c_last_use <= e.c_last_use -> acc
-        | _ -> Some (k, e))
-      t.result_cache None
-  in
-  match victim with
-  | None -> t.cache_bytes <- 0
-  | Some (k, e) ->
-    Hashtbl.remove t.result_cache k;
-    t.cache_bytes <- t.cache_bytes - e.c_bytes;
-    t.c_evictions <- t.c_evictions + 1
+let add t tbl key v deps =
+  t.clock <- t.clock + 1;
+  Hashtbl.replace tbl key { v; deps; last_use = t.clock }
+
+(* drop least-recently-used entries of [tbl] while [over ()] *)
+let rec evict_lru tbl ~over ~evicted =
+  if over () then
+    match
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with Some (_, e') when e'.last_use <= e.last_use -> acc | _ -> Some (k, e))
+        tbl None
+    with
+    | None -> ()
+    | Some (k, e) ->
+      Hashtbl.remove tbl k;
+      evicted e;
+      evict_lru tbl ~over ~evicted
 
 (* Cache a result computed against the catalog as of version [v0] —
-   unless one of its inputs was re-registered since (the result would be
-   stale) or it alone exceeds the whole budget. *)
+   unless one of its inputs changed since (the result would be stale)
+   or it alone exceeds the whole byte budget. *)
 let cache_store t ~key ~deps ~v0 rel =
-  let fresh = List.for_all (fun d -> dep_version t d <= v0) deps in
-  if fresh && not (Hashtbl.mem t.result_cache key) then begin
-    let bytes = rel_bytes rel in
-    if bytes <= t.cache_budget then begin
-      t.clock <- t.clock + 1;
-      Hashtbl.replace t.result_cache key
-        { c_rel = rel; c_deps = deps; c_bytes = bytes; c_last_use = t.clock };
-      t.cache_bytes <- t.cache_bytes + bytes;
-      while t.cache_bytes > t.cache_budget do
-        evict_lru t
-      done
-    end
+  let bytes = rel_bytes rel in
+  if current t ~v0 deps && bytes <= t.cache_budget && not (Hashtbl.mem t.result_cache key) then begin
+    add t t.result_cache key rel deps;
+    t.cache_bytes <- t.cache_bytes + bytes;
+    evict_lru t.result_cache
+      ~over:(fun () -> t.cache_bytes > t.cache_budget)
+      ~evicted:(fun e ->
+        t.cache_bytes <- t.cache_bytes - rel_bytes e.v;
+        t.c_evictions <- t.c_evictions + 1)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Plan cache (LRU over an entry count)                                *)
-(* ------------------------------------------------------------------ *)
-
-let plan_find t key =
-  match Hashtbl.find_opt t.plan_cache key with
-  | Some e ->
-    t.clock <- t.clock + 1;
-    e.pl_last_use <- t.clock;
-    Some e.pl_term
-  | None -> None
 
 let plan_store t key term deps =
   if not (Hashtbl.mem t.plan_cache key) then begin
-    t.clock <- t.clock + 1;
-    Hashtbl.replace t.plan_cache key { pl_term = term; pl_deps = deps; pl_last_use = t.clock };
-    while Hashtbl.length t.plan_cache > t.plan_capacity do
-      let victim =
-        Hashtbl.fold
-          (fun k e acc ->
-            match acc with
-            | Some (_, u) when u <= e.pl_last_use -> acc
-            | _ -> Some (k, e.pl_last_use))
-          t.plan_cache None
-      in
-      match victim with None -> () | Some (k, _) -> Hashtbl.remove t.plan_cache k
-    done
+    add t t.plan_cache key term deps;
+    evict_lru t.plan_cache
+      ~over:(fun () -> Hashtbl.length t.plan_cache > plan_cache_capacity)
+      ~evicted:ignore
   end
 
 (* ------------------------------------------------------------------ *)
@@ -589,7 +558,11 @@ let rec schedule t =
       schedule t
   end
 
-(* blocks until admitted; returns the time spent queued *)
+(* Blocks until admitted; returns the time spent queued and the catalog
+   snapshot (version, tables) the evaluation reads. Snapshotting at
+   admission rather than at submission keeps a query that waited across
+   an update on the current catalog, where it can share cached and
+   in-flight fixpoints and repair handles. *)
 let admit t sid =
   let t0 = now_ns () in
   Mutex.lock t.lock;
@@ -602,8 +575,9 @@ let admit t sid =
     Condition.wait t.admit_cond t.lock
   done;
   tele_gauges t;
+  let snapshot = (t.version, t.tbl) in
   Mutex.unlock t.lock;
-  now_ns () -. t0
+  (now_ns () -. t0, snapshot)
 
 let release t =
   Mutex.lock t.lock;
@@ -644,209 +618,137 @@ let eval_stats_make () =
     e_strag_n = 0;
   }
 
-(* One cluster segment. Admission bounds how many evaluators exist; this
-   lock makes stage interleaving impossible even with max_inflight > 1
-   (the Cluster.Concurrent_dispatch guard would reject it loudly).
-   Holding the cluster lock also makes the per-segment deltas of the
-   shared cluster metrics (stages, straggler ratios) attributable to
-   this evaluation. *)
-let exec_on_cluster t ~tbl ~st term =
-  Mutex.lock t.cluster_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
+(* One cluster segment: run [f] under the cluster lock, inside a trace
+   [span], and charge the stages and straggler ratios it ran to [st].
+   Admission bounds how many evaluators exist; this lock keeps their
+   stages from interleaving even with max_inflight > 1 (the
+   Cluster.Concurrent_dispatch guard would reject that loudly), and it
+   makes the deltas of the shared cluster metrics attributable to this
+   evaluation. [f] may take [t.lock] briefly; it never awaits a promise. *)
+let on_cluster t ~st ~span f =
+  Mutex.protect t.cluster_lock @@ fun () ->
   let m = Cluster.metrics t.cluster in
   let stages0 = m.Metrics.stages in
   let strag_sum0 = Hist.total m.Metrics.straggler in
   let strag_n0 = Hist.count m.Metrics.straggler in
-  let tr = Trace.get () in
-  let rel =
-    Trace.span tr ~cat:"serve" "serve.eval" @@ fun () ->
-    let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
-    let rel = Exec.run ctx term in
-    List.iter
-      (fun (fr : Exec.fix_report) ->
-        st.e_iters <- st.e_iters + fr.iterations;
-        st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
-      (Exec.report ctx).Exec.fixpoints;
-    rel
-  in
-  st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
-  st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
-  st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
-  rel
-
-(* ------------------------------------------------------------------ *)
-(* Incremental repair of cached fixpoints                              *)
-(* ------------------------------------------------------------------ *)
-
-(* with [t.lock] held: evict the least-recently-used repair handle *)
-let evict_repair_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k h acc ->
-        match acc with Some (_, u) when u <= h.r_last_use -> acc | _ -> Some (k, h.r_last_use))
-      t.repair None
-  in
-  match victim with None -> () | Some (k, _) -> Hashtbl.remove t.repair k
-
-(* Try to answer a missed fixpoint from its live repair handle by
-   replaying the pending delta through [Exec.Incr.update]. [Some rel]
-   reflects the handle's take-time catalog, which the [dep_version]
-   guard pins to the query's snapshot [v0]. Falls back ([None], handle
-   dropped) when the pending delta outgrew [repair_frac] of the base
-   relations, when the differential calculus refuses the update, or
-   when the resume dies mid-flight (the accumulator is then corrupt).
-   Never called with a lock held. *)
-let try_repair t ~v0 ~st key =
-  if t.max_repair_handles = 0 then None
-  else begin
-    Mutex.lock t.lock;
-    match Hashtbl.find_opt t.repair key with
-    | None ->
-      Mutex.unlock t.lock;
-      None
-    | Some h ->
-      if not (List.for_all (fun d -> dep_version t d <= v0) h.r_deps) then begin
-        (* a dep moved past this query's snapshot: the handle (which
-           repairs to the latest catalog) would answer a different
-           question; leave it for later queries and evaluate against
-           the snapshot *)
-        Mutex.unlock t.lock;
-        None
-      end
-      else begin
-        let card l = List.fold_left (fun a (_, r) -> a + Rel.cardinal r) 0 l in
-        let base =
-          List.fold_left
-            (fun a d ->
-              a + match List.assoc_opt d t.tbl with Some r -> Rel.cardinal r | None -> 0)
-            0 h.r_deps
-        in
-        if float_of_int (card h.r_ins + card h.r_del) > t.repair_frac *. float_of_int (max 1 base)
-        then begin
-          Hashtbl.remove t.repair key;
-          t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
-          Mutex.unlock t.lock;
-          tele_repair_fallback ~reason:"oversized";
-          None
-        end
-        else begin
-          let ins = h.r_ins and del = h.r_del in
-          h.r_ins <- [];
-          h.r_del <- [];
-          t.clock <- t.clock + 1;
-          h.r_last_use <- t.clock;
-          Mutex.unlock t.lock;
-          let t0 = now_ns () in
-          Mutex.lock t.cluster_lock;
-          let res =
-            Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
-            let m = Cluster.metrics t.cluster in
-            let stages0 = m.Metrics.stages in
-            let strag_sum0 = Hist.total m.Metrics.straggler in
-            let strag_n0 = Hist.count m.Metrics.straggler in
-            let tr = Trace.get () in
-            let res =
-              Trace.span tr ~cat:"serve" "serve.repair" @@ fun () ->
-              match Exec.Incr.update ~inserts:ins ~deletes:del h.r_handle with
-              | `Repaired (rel, iters) ->
-                st.e_iters <- st.e_iters + iters;
-                st.e_plans <-
-                  (Exec.plan_name (Exec.Incr.plan h.r_handle) ^ "(incr)") :: st.e_plans;
-                `Repaired rel
-              | `Unsupported _ -> `Fallback "unsupported"
-              | exception _ -> `Fallback "error"
-            in
-            st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
-            st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
-            st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
-            res
-          in
-          match res with
-          | `Repaired rel ->
-            st.e_repaired <- st.e_repaired + 1;
-            tele_repair ~ns:(now_ns () -. t0);
-            Some rel
-          | `Fallback reason ->
-            Mutex.lock t.lock;
-            (match Hashtbl.find_opt t.repair key with
-            | Some h' when h' == h -> Hashtbl.remove t.repair key
-            | _ -> ());
-            t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
-            Mutex.unlock t.lock;
-            tele_repair_fallback ~reason;
-            None
-        end
-      end
-  end
-
-(* Evaluate a fixpoint from scratch while retaining its converged
-   accumulator as a repair handle; [None] when the incremental layer
-   cannot host this term (it then runs through the plain executor). *)
-let establish_on_cluster t ~tbl ~st fix_term =
-  Mutex.lock t.cluster_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
-  let m = Cluster.metrics t.cluster in
-  let stages0 = m.Metrics.stages in
-  let strag_sum0 = Hist.total m.Metrics.straggler in
-  let strag_n0 = Hist.count m.Metrics.straggler in
-  let tr = Trace.get () in
-  let res =
-    Trace.span tr ~cat:"serve" "serve.eval" @@ fun () ->
-    match Exec.Incr.establish t.exec_config ~tables:tbl fix_term with
-    | h ->
-      List.iter
-        (fun (fr : Exec.fix_report) ->
-          st.e_iters <- st.e_iters + fr.iterations;
-          st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
-        (Exec.Incr.establish_report h);
-      Some (h, Exec.Incr.result h)
-    | exception Exec.Incr.Unsupported _ -> None
-  in
+  let res = Trace.span (Trace.get ()) ~cat:"serve" span f in
   st.e_stages <- st.e_stages + (m.Metrics.stages - stages0);
   st.e_strag_sum <- st.e_strag_sum +. (Hist.total m.Metrics.straggler -. strag_sum0);
   st.e_strag_n <- st.e_strag_n + (Hist.count m.Metrics.straggler - strag_n0);
   res
 
-(* Evaluate a missed closed fixpoint: repair from a live handle when one
-   is current, otherwise evaluate from scratch — keeping the converged
-   accumulator as a fresh handle when repair is enabled. Returns the
-   result and whether it came from a repair. *)
+let account st (reports : Exec.fix_report list) =
+  List.iter
+    (fun (fr : Exec.fix_report) ->
+      st.e_iters <- st.e_iters + fr.iterations;
+      st.e_plans <- Exec.plan_name fr.Exec.plan :: st.e_plans)
+    reports
+
+(* run [term] through the executor; inside a cluster segment *)
+let exec_term t ~tbl ~st term =
+  let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
+  let rel = Exec.run ctx term in
+  account st (Exec.report ctx).Exec.fixpoints;
+  rel
+
+(* Evaluate a missed closed fixpoint, in one cluster segment from the
+   freshness check to the handle's installation, so two misses on one
+   handle can never interleave. A live handle whose inputs have not
+   moved past this query's snapshot [v0] is repaired: its pending delta
+   is detached and replayed through [Exec.Incr.update]. It is dropped
+   instead (and the miss falls back) when the delta outgrew
+   [repair_frac] of the base relations, when the differential calculus
+   refuses it, or when the resume dies mid-flight (the accumulator is
+   then corrupt). Otherwise the fixpoint is evaluated from scratch
+   against [tbl], keeping its converged accumulator as a fresh handle
+   when repair is enabled. Returns the result and whether it came from
+   a repair. *)
 let eval_fix t ~tbl ~v0 ~st ~key ~deps fix_term =
-  match try_repair t ~v0 ~st key with
+  on_cluster t ~st ~span:"serve.fix" @@ fun () ->
+  let fallback reason =
+    Hashtbl.remove t.repair key;
+    t.c_repair_fallbacks <- t.c_repair_fallbacks + 1;
+    tele_repair_fallback ~reason
+  in
+  let detached =
+    Mutex.protect t.lock @@ fun () ->
+    match Hashtbl.find_opt t.repair key with
+    | Some e when current t ~v0 deps ->
+      let h = e.v in
+      let card l = List.fold_left (fun a (_, r) -> a + Rel.cardinal r) 0 l in
+      let base =
+        List.fold_left
+          (fun a d -> a + match List.assoc_opt d t.tbl with Some r -> Rel.cardinal r | None -> 0)
+          0 deps
+      in
+      if float_of_int (card h.r_ins + card h.r_del) > t.repair_frac *. float_of_int (max 1 base)
+      then begin
+        fallback "oversized";
+        None
+      end
+      else begin
+        touch t e;
+        let ins = h.r_ins and del = h.r_del in
+        h.r_ins <- [];
+        h.r_del <- [];
+        Some (h.r_handle, ins, del)
+      end
+    | _ -> None
+  in
+  let repaired =
+    Option.bind detached (fun (h, inserts, deletes) ->
+        let t0 = now_ns () in
+        let refused reason =
+          Mutex.protect t.lock (fun () -> fallback reason);
+          None
+        in
+        match Exec.Incr.update ~inserts ~deletes h with
+        | `Repaired (rel, iters) ->
+          st.e_iters <- st.e_iters + iters;
+          st.e_plans <- (Exec.plan_name (Exec.Incr.plan h) ^ "(incr)") :: st.e_plans;
+          st.e_repaired <- st.e_repaired + 1;
+          tele_repair ~ns:(now_ns () -. t0);
+          Some rel
+        | `Unsupported _ -> refused "unsupported"
+        | exception _ -> refused "error")
+  in
+  match repaired with
   | Some rel -> (rel, true)
-  | None ->
-    if t.max_repair_handles = 0 then (exec_on_cluster t ~tbl ~st fix_term, false)
-    else begin
-      match establish_on_cluster t ~tbl ~st fix_term with
-      | None -> (exec_on_cluster t ~tbl ~st fix_term, false)
-      | Some (h, rel) ->
-        Mutex.lock t.lock;
-        (* install unless an update landed mid-evaluation (the handle
-           reflects a stale snapshot and its delta was never parked) or
-           a more current handle survived under this key *)
-        if
-          List.for_all (fun d -> dep_version t d <= v0) deps
-          && not (Hashtbl.mem t.repair key)
-        then begin
-          t.clock <- t.clock + 1;
-          Hashtbl.replace t.repair key
-            { r_handle = h; r_deps = deps; r_ins = []; r_del = []; r_last_use = t.clock };
-          while Hashtbl.length t.repair > t.max_repair_handles do
-            evict_repair_lru t
-          done
-        end;
-        Mutex.unlock t.lock;
-        (rel, false)
-    end
+  | None -> (
+    match
+      if t.max_repair_handles = 0 then None
+      else Some (Exec.Incr.establish t.exec_config ~tables:tbl fix_term)
+    with
+    | None | (exception Exec.Incr.Unsupported _) -> (exec_term t ~tbl ~st fix_term, false)
+    | Some h ->
+      account st (Exec.Incr.establish_report h);
+      (* keep the handle unless an update landed since the snapshot (its
+         delta was never parked here), a handle survives under this key
+         for a newer snapshot, or no update of its inputs can be
+         repaired *)
+      Mutex.protect t.lock (fun () ->
+          if current t ~v0 deps && (not (Hashtbl.mem t.repair key))
+             && List.exists (Exec.Incr.repairable h) deps
+          then begin
+            add t t.repair key { r_handle = h; r_ins = []; r_del = [] } deps;
+            evict_lru t.repair
+              ~over:(fun () -> Hashtbl.length t.repair > t.max_repair_handles)
+              ~evicted:ignore
+          end);
+      (Exec.Incr.result h, false))
 
 (* Resolve one maximal closed Fix subterm through cache and promise
    table; evaluate it at most once process-wide per (normal key,
-   catalog state). Never called with any lock held. *)
+   catalog state). Both tables only ever hold fixpoints of the current
+   catalog, so a snapshot that an input has moved past since (an update
+   landed while the query was evaluating) neither reads nor publishes
+   there: it evaluates alone. Never called with any lock held. *)
 let resolve_fix t ~tbl ~v0 ~st fix_term =
   let key = Normal.key fix_term in
   let deps = Term.free_rels fix_term in
   Mutex.lock t.lock;
-  match cache_find t key with
+  let current = current t ~v0 deps in
+  match if current then find t t.result_cache key else None with
   | Some rel ->
     t.c_fix_hits <- t.c_fix_hits + 1;
     st.e_fix_hits <- st.e_fix_hits + 1;
@@ -854,7 +756,7 @@ let resolve_fix t ~tbl ~v0 ~st fix_term =
     tele_cache ~cache:"fix" "hit";
     rel
   | None -> (
-    match Hashtbl.find_opt t.f_promises key with
+    match if current then Hashtbl.find_opt t.f_promises key else None with
     | Some p ->
       t.c_fix_shared <- t.c_fix_shared + 1;
       st.e_fix_hits <- st.e_fix_hits + 1;
@@ -863,7 +765,7 @@ let resolve_fix t ~tbl ~v0 ~st fix_term =
       promise_await p
     | None -> (
       let p = promise_make deps in
-      Hashtbl.replace t.f_promises key p;
+      if current then Hashtbl.replace t.f_promises key p;
       Mutex.unlock t.lock;
       let forget () =
         (* only our own registration: [register] may have purged it and a
@@ -916,7 +818,7 @@ let evaluate t ~key ~deps ~v0 ~tbl ~optimize ~st term =
     if not optimize then (term, false)
     else begin
       Mutex.lock t.lock;
-      match plan_find t key with
+      match find t t.plan_cache key with
       | Some pl ->
         t.c_plan_hits <- t.c_plan_hits + 1;
         Mutex.unlock t.lock;
@@ -938,7 +840,7 @@ let evaluate t ~key ~deps ~v0 ~tbl ~optimize ~st term =
   let rel =
     match residual with
     | Term.Cst r -> r (* the whole plan was one shared fixpoint *)
-    | _ -> exec_on_cluster t ~tbl ~st residual
+    | _ -> on_cluster t ~st ~span:"serve.eval" (fun () -> exec_term t ~tbl ~st residual)
   in
   Mutex.lock t.lock;
   cache_store t ~key ~deps ~v0 rel;
@@ -1036,7 +938,7 @@ let query ?(optimize = true) t (sn : Session.t) term =
       exec_ns = 0.;
     }
   in
-  match cache_find t key with
+  match find t t.result_cache key with
   | Some rel ->
     let resp = finish_hit rel ~shared:false in
     Mutex.unlock t.lock;
@@ -1060,9 +962,7 @@ let query ?(optimize = true) t (sn : Session.t) term =
           ~latency_ns:(now_ns () -. t_start);
         raise e)
     | None -> (
-      (* we own the evaluation: snapshot the catalog, publish a promise *)
-      let v0 = t.version in
-      let tbl = t.tbl in
+      (* we own the evaluation: publish a promise *)
       let p = promise_make deps in
       Hashtbl.replace t.q_promises key p;
       t.c_result_misses <- t.c_result_misses + 1;
@@ -1126,7 +1026,7 @@ let query ?(optimize = true) t (sn : Session.t) term =
            stages, exchanges, operator spans — carries the query id *)
         Trace.with_ambient_attrs [ ("query_id", Trace.Int qid) ] @@ fun () ->
         Fun.protect ~finally:finish_capture @@ fun () ->
-        let wait_ns = admit t sn.Session.id in
+        let wait_ns, (v0, tbl) = admit t sn.Session.id in
         Fun.protect ~finally:(fun () -> release t) @@ fun () ->
         let rel, plan_hit = evaluate t ~key ~deps ~v0 ~tbl ~optimize ~st term in
         (rel, plan_hit, wait_ns)
@@ -1179,8 +1079,7 @@ let explain ?(optimize = true) t term =
   let tbl = t.tbl in
   Mutex.unlock t.lock;
   let plan = if optimize then optimize_term t tbl term else term in
-  Mutex.lock t.cluster_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.cluster_lock) @@ fun () ->
+  Mutex.protect t.cluster_lock @@ fun () ->
   let ctx = Exec.session ~shell_cache:t.shell_statics t.exec_config tbl in
   Exec.explain ctx plan
 

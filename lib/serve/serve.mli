@@ -39,15 +39,24 @@
       once. Resolved subterms are substituted as [Cst] constants and
       only the residual plan is executed.
 
-    Deadlock freedom: an evaluator resolves one fixpoint subterm at a
-    time and fulfills its promise (also on failure) before touching the
-    next, never waits on a promise while holding the cluster lock, and
-    whole-query promises are only awaited by queries that hold nothing.
+    Deadlock freedom: the server has two locks. The cluster lock is held
+    for one cluster segment: a missed fixpoint from its freshness check
+    through its repair or evaluation to the installation of its repair
+    handle, or one residual plan. The server lock guards the tables and
+    is held briefly. The server lock may be taken while holding the
+    cluster lock, never the reverse. An evaluator resolves one fixpoint
+    subterm at a time and fulfills its promise (also on failure) before
+    touching the next, never waits on a promise or on admission while
+    holding either lock, and whole-query promises are only awaited by
+    queries that hold nothing.
 
     Consistency: queries evaluate against a snapshot of the catalog
-    taken at submission. A result is only cached if none of its input
-    relations were re-registered while it was being computed, so the
-    cache never serves a stale mix.
+    taken when they are admitted. A result is only cached if none of its
+    input relations changed while it was being computed, so the cache
+    never serves a stale mix. The result cache and the fixpoint promise
+    table only hold fixpoints of the current catalog: a query whose
+    snapshot an update overtook mid-evaluation evaluates its remaining
+    fixpoints alone, against its snapshot.
 
     {b Incremental repair} (the fifth layer, on top of the result
     cache): when a fixpoint is evaluated, the server keeps its
@@ -59,12 +68,15 @@
     seed the semi-naive loop with the differential of the body at the
     converged accumulator, deletions run DRed (over-delete through the
     old rules, then re-derive), and the resumed result is bit-identical
-    to recomputing from scratch on the updated catalog. Oversized
-    deltas ([repair_max_delta_frac]), update shapes the differential
-    calculus refuses (changed relation under an antijoin right side or
-    a nested fixpoint), and mid-repair failures all fall back to a full
-    evaluation; {!register} (a full replacement) severs the delta chain
-    and drops the handles. *)
+    to recomputing from scratch on the updated catalog. Detaching a
+    handle's pending delta and replaying it happen in one cluster
+    segment, so two misses never repair one handle at once. A handle
+    the differential calculus cannot maintain under a change to one of
+    its inputs (the input occurs under an antijoin right side or inside
+    a nested fixpoint) is not kept, or is dropped by the update that
+    changes that input. Oversized deltas ([repair_max_delta_frac]) and
+    mid-repair failures fall back to a full evaluation; {!register} (a
+    full replacement) severs the delta chain and drops the handles. *)
 
 module Session : sig
   type t
@@ -78,7 +90,6 @@ type t
 
 val create :
   ?max_inflight:int ->
-  ?plan_cache_capacity:int ->
   ?result_cache_bytes:int ->
   ?max_plans:int ->
   ?sample_every:int ->
@@ -96,7 +107,6 @@ val create :
     - [max_inflight] (default 1): concurrent admitted evaluations.
       Values > 1 enable cross-query fixpoint sharing; cluster stages
       remain serialized internally either way.
-    - [plan_cache_capacity] (default 128): optimized plans kept, LRU.
     - [result_cache_bytes] (default 64 MiB): result-cache budget under
       the {!Distsim.Metrics.tuple_bytes} size model, LRU.
     - [max_plans] (default 120): rewriter plan-space budget.
@@ -121,6 +131,9 @@ val create :
       resume would do comparable work anyway).
     - [config]: execution knobs (forced fixpoint plan, thresholds...);
       its [cluster] field is overridden by [cluster].
+
+    The plan cache keeps the 128 most recently used optimized plans;
+    its size is not an option.
     @raise Invalid_argument if [max_inflight < 1],
       [max_repair_handles < 0] or [repair_max_delta_frac < 0]. *)
 
@@ -144,7 +157,9 @@ val register : t -> string -> Relation.Rel.t -> unit
 (** [register t name rel] binds (or replaces) a database relation and
     bumps the graph version. Plan- and result-cache entries that read
     [name], in-flight promises over it, and its repair handles are
-    invalidated; entries on other relations survive. *)
+    invalidated; entries on other relations survive. {!update} shares
+    this invalidation, but keeps the plans and parks its delta on the
+    handles. *)
 
 val update : ?inserts:Relation.Rel.t -> ?deletes:Relation.Rel.t -> t -> string -> unit
 (** [update t name ~inserts ~deletes] applies an edge batch to the
@@ -153,10 +168,13 @@ val update : ?inserts:Relation.Rel.t -> ?deletes:Relation.Rel.t -> t -> string -
     as under {!register}. Dependent result-cache entries are dropped —
     but their live repair handles absorb the delta, so the next miss on
     an affected fixpoint pays only an incremental resume instead of a
-    recomputation (see the module overview). Plan-cache entries
-    survive: a rewritten plan stays valid under any catalog contents.
-    Batches apply deletes before inserts; a tuple named by both ends up
-    present.
+    recomputation (see the module overview). Handles that cannot absorb
+    a change to [name] are dropped. Plan-cache entries survive: a
+    rewritten plan stays valid under any catalog contents. Batches
+    apply deletes before inserts; a tuple named by both ends up
+    present. A batch that changes no tuple (both arguments omitted,
+    inserts already present, deletes absent) is a no-op: the version,
+    the caches and the handles stay as they are.
     @raise Invalid_argument on an unregistered relation or a batch
     whose schema does not match the relation's. *)
 
@@ -229,8 +247,10 @@ type stats = {
   fix_shared : int;  (** fixpoint subterms joined in flight *)
   repaired : int;  (** fixpoint subterms answered by incremental repair *)
   repair_fallbacks : int;
-      (** repair attempts abandoned (oversized pending delta,
-          unsupported update shape, or a mid-repair failure) *)
+      (** repair attempts abandoned (oversized pending delta, a delta
+          {!Physical.Exec.Incr.update} refuses, or a mid-repair
+          failure); handles that could never absorb an update are
+          dropped by {!update} without counting here *)
   repair_handles : int;  (** live repair handles currently held *)
   invalidated : int;  (** cache entries dropped by {!register}/{!update} *)
   evictions : int;  (** result-cache entries dropped by the LRU budget *)

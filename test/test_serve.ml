@@ -33,8 +33,8 @@ let edges =
 let edges2 = rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 2; 3 ]; [ 7; 8 ] ]
 let eval_on graph term = Mura.Eval.eval (Mura.Eval.env [ ("E", graph) ]) term
 
-let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
-    ?repair_max_delta_frac ?force_plan ?(workers = 2) ?(parallel = false) () =
+let make_serve ?max_inflight ?result_cache_bytes ?max_repair_handles ?repair_max_delta_frac
+    ?force_plan ?(workers = 2) ?(parallel = false) () =
   let cluster = Cluster.make ~parallel ~workers () in
   let config =
     match force_plan with
@@ -42,8 +42,8 @@ let make_serve ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repai
     | Some _ -> Some { (Exec.default_config cluster) with Exec.force_plan }
   in
   let t =
-    Serve.create ?max_inflight ?plan_cache_capacity ?result_cache_bytes ?max_repair_handles
-      ?repair_max_delta_frac ?config ~cluster ()
+    Serve.create ?max_inflight ?result_cache_bytes ?max_repair_handles ?repair_max_delta_frac
+      ?config ~cluster ()
   in
   Serve.register t "E" edges;
   t
@@ -469,6 +469,179 @@ let test_update_validation () =
   | exception _ -> Alcotest.fail "empty update raised");
   Serve.shutdown t
 
+(* an update that changes no tuple keeps the version and the cache *)
+let test_noop_update_keeps_cache () =
+  let t = make_serve () in
+  let sn = Serve.open_session t in
+  let q () = Patterns.closure (Term.Rel "E") in
+  ignore (Serve.query t sn (q ()));
+  let v = Serve.graph_version t in
+  Serve.update t "E";
+  Serve.update ~inserts:(rel [ "src"; "trg" ] [ [ 1; 2 ]; [ 6; 1 ] ]) t "E";
+  Serve.update ~deletes:(rel [ "src"; "trg" ] [ [ 2; 1 ]; [ 40; 41 ] ]) t "E";
+  (* a present tuple both deleted and re-inserted stays present *)
+  let x = rel [ "src"; "trg" ] [ [ 3; 4 ] ] in
+  Serve.update ~inserts:x ~deletes:x t "E";
+  check_int "version unchanged" v (Serve.graph_version t);
+  check_int "nothing invalidated" 0 (Serve.stats t).Serve.invalidated;
+  let r = Serve.query t sn (q ()) in
+  check_bool "still a hit" true r.Serve.result_hit;
+  check_rel "still correct" (eval_on edges (q ())) r.Serve.rel;
+  Serve.shutdown t
+
+(* a tuple deleted by one batch and re-inserted by the next nets out on
+   the parked delta, also when the second batch names it in its deletes
+   too: the repair must see it present, as the catalog does *)
+let test_reinsert_nets_out () =
+  let t = make_serve () in
+  let sn = Serve.open_session t in
+  let q () = Patterns.closure (Term.Rel "E") in
+  ignore (Serve.query t sn (q ()));
+  let x = rel [ "src"; "trg" ] [ [ 3; 10 ] ] in
+  Serve.update ~deletes:x t "E";
+  Serve.update ~inserts:x ~deletes:x t "E";
+  check_rel "catalog holds the tuple" edges (Option.get (Serve.relation t "E"));
+  let r = Serve.query t sn (q ()) in
+  check_bool "repaired" true r.Serve.repaired;
+  check_rel "repaired result correct" (eval_on edges (q ())) r.Serve.rel;
+  Serve.shutdown t
+
+(* a handle is kept only while an update of its inputs can be repaired.
+   [F] is read inside a nested fixpoint and [E] positively: an update to
+   F drops the handle without counting a fallback, an update to E
+   repairs. A fixpoint that reads its only input inside a nested
+   fixpoint keeps no handle at all. *)
+let test_unrepairable_handle_dropped () =
+  let t = make_serve () in
+  Serve.register t "F" edges2;
+  let sn = Serve.open_session t in
+  let q () = Patterns.closure_from (Term.Rel "E") (Patterns.closure (Term.Rel "F")) in
+  let run q =
+    let r = Serve.query ~optimize:false t sn q in
+    check_rel "correct" (Mura.Eval.eval (Mura.Eval.env (Serve.tables t)) q) r.Serve.rel;
+    r
+  in
+  let handles () = (Serve.stats t).Serve.repair_handles in
+  ignore (run (q ()));
+  check_int "handle kept" 1 (handles ());
+  Serve.update ~inserts:(rel [ "src"; "trg" ] [ [ 3; 7 ] ]) t "F";
+  check_int "update to F drops it" 0 (handles ());
+  check_bool "recomputed" false (run (q ())).Serve.repaired;
+  Serve.update ~inserts:(rel [ "src"; "trg" ] [ [ 6; 20 ] ]) t "E";
+  check_bool "update to E repaired" true (run (q ())).Serve.repaired;
+  ignore (run (Patterns.closure (Patterns.closure (Term.Rel "E"))));
+  check_int "nested-only fixpoint keeps no handle" 1 (handles ());
+  check_int "no fallback" 0 (Serve.stats t).Serve.repair_fallbacks;
+  Serve.shutdown t
+
+(* two clients at max_inflight 2 query one multi-iteration closure (as a
+   whole query and under a selection, so both whole-query and fixpoint
+   keys are in play) while the main domain extends the chain after every
+   few responses: the closure changes with every update and each miss
+   repairs the same handle. A third domain keeps the cluster lock
+   contended with [explain], so repairs queue behind one another. Every
+   response must equal the oracle at some graph version between its
+   submission and its return. *)
+let test_concurrent_repairs () =
+  let chain n = rel [ "src"; "trg" ] (List.init n (fun i -> [ i; i + 1 ])) in
+  let n0 = 16 and updates = 30 in
+  let t = Serve.create ~max_inflight:2 ~cluster:(Cluster.make ~workers:2 ()) () in
+  Serve.register t "E" (chain n0);
+  let v_base = Serve.graph_version t in
+  let closure = Patterns.closure (Term.Rel "E") in
+  let queries = [| closure; Term.Select (Pred.Gt_const ("src", -1), closure) |] in
+  let stop = Atomic.make false and responses = Atomic.make 0 in
+  let client i =
+    Domain.spawn (fun () ->
+        let sn = Serve.open_session t in
+        let log = ref [] and k = ref i in
+        while not (Atomic.get stop) do
+          let qi = !k mod 2 in
+          incr k;
+          let v0 = Serve.graph_version t - v_base in
+          let r = Serve.query ~optimize:false t sn queries.(qi) in
+          let v1 = Serve.graph_version t - v_base in
+          Atomic.incr responses;
+          (* a hit leaves the handle alone: pause, so the run's responses
+             are mostly misses *)
+          if r.Serve.result_hit then Unix.sleepf 0.0002;
+          log := (qi, v0, v1, r.Serve.rel) :: !log
+        done;
+        !log)
+  in
+  let clients = [ client 0; client 1 ] in
+  let busy =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Serve.explain ~optimize:false t closure)
+        done)
+  in
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  for k = 1 to updates do
+    let seen = Atomic.get responses in
+    while Atomic.get responses < seen + 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Serve.update ~inserts:(rel [ "src"; "trg" ] [ [ n0 + k - 1; n0 + k ] ]) t "E"
+  done;
+  Atomic.set stop true;
+  Domain.join busy;
+  let logs = List.concat_map Domain.join clients in
+  let oracle = Hashtbl.create 64 in
+  let expected qi v =
+    match Hashtbl.find_opt oracle (qi, v) with
+    | Some r -> r
+    | None ->
+      let r = eval_on (chain (n0 + v)) queries.(qi) in
+      Hashtbl.replace oracle (qi, v) r;
+      r
+  in
+  let wrong =
+    List.filter
+      (fun (qi, v0, v1, r) ->
+        not (List.exists (fun v -> Rel.equal r (expected qi v)) (List.init (v1 - v0 + 1) (( + ) v0))))
+      logs
+  in
+  let s = Serve.stats t in
+  Serve.shutdown t;
+  check_int "every response matches a version in its window" 0 (List.length wrong);
+  check_bool "repairs ran" true (s.Serve.repaired > 0);
+  check_int "no query failed" 0 s.Serve.failed
+
+(* the server's live heap is bounded: under an update stream that keeps
+   |E| constant, the live words after many repair cycles stay within a
+   small slack of those after warm-up *)
+let test_heap_bounded () =
+  let t = make_serve () in
+  let sn = Serve.open_session t in
+  let queries = [ Patterns.closure (Term.Rel "E"); Patterns.reach 1 ] in
+  (* round k swaps edge (6, 99 + k) for (6, 100 + k) *)
+  Serve.update ~inserts:(rel [ "src"; "trg" ] [ [ 6; 100 ] ]) t "E";
+  let round k =
+    Serve.update
+      ~inserts:(rel [ "src"; "trg" ] [ [ 6; 100 + k ] ])
+      ~deletes:(rel [ "src"; "trg" ] [ [ 6; 99 + k ] ])
+      t "E";
+    List.iter (fun q -> ignore (Serve.query t sn q)) queries
+  in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for k = 1 to 20 do
+    round k
+  done;
+  let warm = live () in
+  for k = 21 to 220 do
+    round k
+  done;
+  let after = live () in
+  let s = Serve.stats t in
+  Serve.shutdown t;
+  check_bool "rounds repaired" true (s.Serve.repaired >= 200);
+  if after > warm + 4096 then
+    Alcotest.failf "live heap grew from %d to %d words over 200 updates" warm after
+
 let test_wait_accounting () =
   let t = make_serve () in
   let sn = Serve.open_session t in
@@ -511,6 +684,11 @@ let () =
           Alcotest.test_case "register drops handles" `Quick test_register_drops_handles;
           Alcotest.test_case "repair disabled" `Quick test_repair_disabled;
           Alcotest.test_case "update validation" `Quick test_update_validation;
+          Alcotest.test_case "no-op update keeps the cache" `Quick test_noop_update_keeps_cache;
+          Alcotest.test_case "re-insert nets out" `Quick test_reinsert_nets_out;
+          Alcotest.test_case "unrepairable handles dropped" `Quick test_unrepairable_handle_dropped;
+          Alcotest.test_case "concurrent repairs across updates" `Quick test_concurrent_repairs;
+          Alcotest.test_case "live heap bounded" `Quick test_heap_bounded;
         ] );
       ( "sessions",
         [
